@@ -94,10 +94,12 @@ main()
 
         // Replays of the identical traffic.
         trace::Trace t = logToTrace(machine.log());
+        core::ReplayOptions openLoop;
+        openLoop.blocking = false;
         auto blocking =
-            core::TraceReplayer::replay(t, standardMachine().mesh, true);
+            core::TraceReplayer::replay(t, standardMachine().mesh);
         auto open =
-            core::TraceReplayer::replay(t, standardMachine().mesh, false);
+            core::TraceReplayer::replay(t, standardMachine().mesh, openLoop);
 
         std::cout << std::left << std::setw(10) << name << std::right
                   << std::fixed << std::setprecision(4) << std::setw(12)

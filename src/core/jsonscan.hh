@@ -17,6 +17,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "status.hh"
@@ -183,6 +184,44 @@ class JsonScanner
     std::string context_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Write `s` as a JSON string literal: the writing side of the scanner,
+ * shared by the sweep report, journal and chaos writers.
+ */
+inline void
+writeJsonString(std::ostream &os, const std::string &s)
+{
+    os << '"';
+    for (char c : s) {
+        switch (c) {
+        case '"':
+            os << "\\\"";
+            break;
+        case '\\':
+            os << "\\\\";
+            break;
+        case '\n':
+            os << "\\n";
+            break;
+        case '\t':
+            os << "\\t";
+            break;
+        case '\r':
+            os << "\\r";
+            break;
+        case '\b':
+            os << "\\b";
+            break;
+        case '\f':
+            os << "\\f";
+            break;
+        default:
+            os << c;
+        }
+    }
+    os << '"';
+}
 
 } // namespace cchar::core
 

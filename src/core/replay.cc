@@ -149,16 +149,4 @@ TraceReplayer::replay(const trace::Trace &trace,
     return result;
 }
 
-DriveResult
-TraceReplayer::replay(const trace::Trace &trace,
-                      const mesh::MeshConfig &mesh, bool blocking,
-                      obs::WindowedSampler *sampler, double samplePeriodUs)
-{
-    ReplayOptions opts;
-    opts.blocking = blocking;
-    opts.sampler = sampler;
-    opts.samplePeriodUs = samplePeriodUs;
-    return replay(trace, mesh, opts);
-}
-
 } // namespace cchar::core

@@ -93,14 +93,7 @@ class TraceReplayer
      */
     static DriveResult replay(const trace::Trace &trace,
                               const mesh::MeshConfig &mesh,
-                              const ReplayOptions &opts);
-
-    /** Back-compat wrapper over the ReplayOptions overload. */
-    static DriveResult replay(const trace::Trace &trace,
-                              const mesh::MeshConfig &mesh,
-                              bool blocking = true,
-                              obs::WindowedSampler *sampler = nullptr,
-                              double samplePeriodUs = 0.0);
+                              const ReplayOptions &opts = {});
 };
 
 } // namespace cchar::core

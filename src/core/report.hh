@@ -326,6 +326,11 @@ struct SynthesisFidelity
      * the model length PMF and the observed synthetic one.
      */
     double volumeKs = 1.0;
+    /**
+     * Signed relative error of the synthetic mean latency against the
+     * characterized run's (model replays of a run only; not rendered).
+     */
+    double latencyError = 0.0;
 
     /** Worst attribute divergence — the number the golden suite gates. */
     double

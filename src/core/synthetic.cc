@@ -568,8 +568,7 @@ SyntheticModel::scaleTo(int target_procs,
                 SourceModel c;
                 c.source = (y + h * tj) * wScaled + (x + w * ti);
                 c.interArrival = sm.interArrival->clone();
-                c.messageCount = static_cast<std::size_t>(std::llround(
-                    static_cast<double>(sm.messageCount) * scale));
+                c.messageCount = sm.messageCount;
                 // Remap the destination PMF into this clone's own
                 // tile: relative geometry (and thus hop distances on
                 // the mesh) is preserved exactly.
@@ -593,6 +592,31 @@ SyntheticModel::scaleTo(int target_procs,
             }
         }
     }
+    if (scale == 1.0)
+        return out;
+
+    // Largest remainder: floor every quota, then hand the messages
+    // still missing from the budget to the largest fractional parts.
+    std::vector<double> fraction(out.sources.size());
+    std::size_t assigned = 0;
+    for (std::size_t i = 0; i < out.sources.size(); ++i) {
+        double quota =
+            static_cast<double>(out.sources[i].messageCount) * scale;
+        double whole = std::floor(quota);
+        fraction[i] = quota - whole;
+        out.sources[i].messageCount = static_cast<std::size_t>(whole);
+        assigned += out.sources[i].messageCount;
+    }
+    std::vector<std::size_t> order(out.sources.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&fraction](std::size_t a, std::size_t b) {
+                         return fraction[a] > fraction[b];
+                     });
+    for (std::size_t k = 0; k < order.size() && assigned < target_messages;
+         ++k, ++assigned)
+        ++out.sources[order[k]].messageCount;
     return out;
 }
 

@@ -121,8 +121,11 @@ struct SyntheticModel
      *        original topology.
      * @param target_messages  Total message budget, distributed over
      *        the tiled sources proportionally to their original
-     *        counts. 0 keeps the per-source counts of every clone
-     *        (total grows with the tile count).
+     *        counts by largest remainder (each source gets the floor
+     *        of its quota, the leftover messages go to the largest
+     *        fractional parts, ties in source order), so the counts
+     *        sum to exactly the budget. 0 keeps the per-source counts
+     *        of every clone (total grows with the tile count).
      * @throws CCharError(UsageError) when target_procs is not a
      *         multiple of the model's node count.
      */

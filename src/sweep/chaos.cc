@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/jsonscan.hh"
 #include "core/status.hh"
 #include "engine.hh"
 #include "obs/registry.hh"
@@ -14,28 +15,6 @@
 namespace cchar::sweep {
 
 namespace {
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
 
 /** Fixed classification order for reports (then raw tags). */
 const char *const kClasses[] = {
@@ -364,20 +343,20 @@ ChaosResult::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"index\":" << j.index << ",\"app\":";
-        jsonEscape(os, j.app);
+        core::writeJsonString(os, j.app);
         os << ",\"plan\":";
-        jsonEscape(os, j.plan);
+        core::writeJsonString(os, j.plan);
         os << ",\"classification\":";
-        jsonEscape(os, j.classification);
+        core::writeJsonString(os, j.classification);
         os << ",\"status\":";
-        jsonEscape(os, j.status);
+        core::writeJsonString(os, j.status);
         os << ",\"delivery_failures\":" << j.deliveryFailures
            << ",\"retransmits\":" << j.retransmits
            << ",\"rerouted_packets\":" << j.reroutedPackets
            << ",\"link_drops\":" << j.linkDrops;
         if (j.failing()) {
             os << ",\"shrunk_plan\":";
-            jsonEscape(os, j.shrunkPlan);
+            core::writeJsonString(os, j.shrunkPlan);
             os << ",\"shrunk_faults\":" << j.shrunkFaults
                << ",\"shrink_runs\":" << j.shrinkRuns;
         }

@@ -6,23 +6,17 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
-#include "apps/registry.hh"
-#include "ccnuma/machine.hh"
-#include "core/analyzers.hh"
 #include "core/pipeline.hh"
-#include "core/replay.hh"
+#include "core/jsonscan.hh"
 #include "core/status.hh"
-#include "core/synthetic.hh"
 #include "desim/watchdog.hh"
-#include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "journal.hh"
-#include "mp/mp.hh"
 #include "obs/obs.hh"
 #include "policy.hh"
 #include "stats/spatial.hh"
@@ -54,34 +48,6 @@ const char *const kWallClockGauges[] = {
 };
 
 void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
-
-void
 jsonNumber(std::ostream &os, double v)
 {
     if (!std::isfinite(v)) {
@@ -110,20 +76,7 @@ csvField(std::ostream &os, const std::string &s)
     os << '"';
 }
 
-core::NetworkSummary
-summaryOfMesh(const mesh::MeshNetwork &net, const trace::TrafficLog &log,
-              desim::SimTime now)
-{
-    core::NetworkSummary s;
-    s.latencyMean = net.latencyStats().mean();
-    s.latencyMax = net.latencyStats().max();
-    s.contentionMean = net.contentionStats().mean();
-    s.makespan = log.lastDeliverTime();
-    s.avgChannelUtilization = net.averageChannelUtilization(now);
-    s.maxChannelUtilization = net.maxChannelUtilization(now);
-    return s;
-}
-
+/** Fill the job's summary columns from its characterization. */
 void
 fillOutcome(JobOutcome &out, const core::CharacterizationReport &report)
 {
@@ -139,70 +92,47 @@ fillOutcome(JobOutcome &out, const core::CharacterizationReport &report)
     if (report.temporalAggregate.fit.dist)
         out.temporalFit = report.temporalAggregate.fit.dist->name();
     out.spatialPattern = stats::toString(report.spatialAggregate.pattern);
-}
 
-void
-fillRankActivity(JobOutcome &out, const core::RankActivitySummary &ra)
-{
-    out.skewMaxUs = ra.maxAbsSkewUs;
-    if (!ra.ranks.empty()) {
-        double sum = 0.0;
-        for (const core::RankActivityRow &row : ra.ranks)
-            sum += row.idleFraction;
-        out.idleFractionMean = sum / static_cast<double>(ra.ranks.size());
+    const core::ResilienceSummary &rs = report.resilience;
+    out.droppedPackets = rs.droppedPackets;
+    out.corruptedPackets = rs.corruptedPackets;
+    out.linkDrops = rs.linkDrops;
+    out.retransmits = rs.retransmits;
+    out.deliveryFailures = rs.deliveryFailures;
+    out.reroutedPackets = rs.reroutedPackets;
+    out.rerouteExtraHops = rs.rerouteExtraHops;
+
+    const core::RankActivitySummary &ra = report.rankActivity;
+    if (ra.enabled) {
+        out.skewMaxUs = ra.maxAbsSkewUs;
+        if (!ra.ranks.empty()) {
+            double sum = 0.0;
+            for (const core::RankActivityRow &row : ra.ranks)
+                sum += row.idleFraction;
+            out.idleFractionMean =
+                sum / static_cast<double>(ra.ranks.size());
+        }
+        out.idleWaves = ra.waves.size();
+        for (const core::IdleWave &wave : ra.waves)
+            out.waveSpeedMax =
+                std::max(out.waveSpeedMax, wave.speedRanksPerUs);
     }
-    out.idleWaves = ra.waves.size();
-    for (const core::IdleWave &wave : ra.waves)
-        out.waveSpeedMax = std::max(out.waveSpeedMax,
-                                    wave.speedRanksPerUs);
-}
 
-void
-fillLinkStats(JobOutcome &out, const core::LinkWeatherSummary &lw)
-{
-    out.maxLinkUtil = lw.maxUtilization;
-    out.linkGini = lw.gini;
-    out.hotspotCount = static_cast<std::uint64_t>(lw.hotspotCount);
-    out.congestionOnsetLoad = lw.congestionOnsetLoad;
-}
+    const core::LinkWeatherSummary &lw = report.linkStats;
+    if (lw.enabled) {
+        out.maxLinkUtil = lw.maxUtilization;
+        out.linkGini = lw.gini;
+        out.hotspotCount = static_cast<std::uint64_t>(lw.hotspotCount);
+        out.congestionOnsetLoad = lw.congestionOnsetLoad;
+    }
 
-/**
- * Close the loop for one job: replay the fitted model through the
- * network and record how faithfully it reproduces the original run.
- * Runs fully unobserved — the synthetic mesh must not feed the job's
- * metrics registry or activity/link trackers, whose contents describe
- * the *application* run.
- */
-void
-fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report)
-{
-    obs::ScopedObservability detach{nullptr, nullptr, nullptr, nullptr,
-                                    nullptr};
-    core::SyntheticModel model = core::SyntheticModel::fromReport(report);
-    core::DriveResult synth =
-        core::SyntheticTrafficGenerator::run(model, core::SynthRunOptions{});
-    core::SynthesisFidelity sf = core::computeSynthFidelity(model, synth.log);
-    out.synthLatencyErr =
-        report.network.latencyMean != 0.0
-            ? (synth.latencyMean - report.network.latencyMean) /
-                  report.network.latencyMean
-            : 0.0;
-    out.synthTemporalKs = sf.temporalKs;
-    out.synthSpatialKs = sf.spatialKs;
-    out.synthVolumeKs = sf.volumeKs;
-}
-
-void
-fillFaults(JobOutcome &out, const fault::FaultInjector &injector,
-           std::uint64_t retransmits, std::uint64_t deliveryFailures)
-{
-    out.droppedPackets = injector.drops();
-    out.corruptedPackets = injector.corrupts();
-    out.linkDrops = injector.linkDrops();
-    out.retransmits = retransmits;
-    out.deliveryFailures = deliveryFailures;
-    out.reroutedPackets = injector.reroutes();
-    out.rerouteExtraHops = injector.rerouteExtraHops();
+    const core::SynthesisFidelity &sf = report.synthFidelity;
+    if (sf.enabled) {
+        out.synthLatencyErr = sf.latencyError;
+        out.synthTemporalKs = sf.temporalKs;
+        out.synthSpatialKs = sf.spatialKs;
+        out.synthVolumeKs = sf.volumeKs;
+    }
 }
 
 mesh::MeshConfig
@@ -226,7 +156,64 @@ meshOfJob(const SweepJob &job)
     return cfg;
 }
 
+/** One outcome column value in the JSON report (or, with `csv`, the
+ *  CSV: booleans as 1/0, strings RFC 4180-quoted). */
+template <typename T>
+void
+columnValue(std::ostream &os, const T &v, bool csv)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        os << (csv ? (v ? "1" : "0") : (v ? "true" : "false"));
+    else if constexpr (std::is_same_v<T, double>)
+        jsonNumber(os, v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        csv ? csvField(os, v) : core::writeJsonString(os, v);
+    else
+        os << v;
+}
+
 } // namespace
+
+const std::vector<OutcomeColumn> &
+outcomeColumns()
+{
+    using O = JobOutcome;
+    static const std::vector<OutcomeColumn> columns = {
+        {"verified", &O::verified},
+        {"messages", &O::messages},
+        {"total_bytes", &O::totalBytes},
+        {"latency_mean_us", &O::latencyMean},
+        {"latency_max_us", &O::latencyMax},
+        {"contention_mean_us", &O::contentionMean},
+        {"makespan_us", &O::makespan},
+        {"avg_channel_utilization", &O::avgChannelUtilization},
+        {"max_channel_utilization", &O::maxChannelUtilization},
+        {"temporal_fit", &O::temporalFit},
+        {"spatial_pattern", &O::spatialPattern},
+        {"dropped_packets", &O::droppedPackets},
+        {"corrupted_packets", &O::corruptedPackets},
+        {"link_drops", &O::linkDrops},
+        {"retransmits", &O::retransmits},
+        {"delivery_failures", &O::deliveryFailures},
+        {"rerouted_packets", &O::reroutedPackets},
+        {"reroute_extra_hops", &O::rerouteExtraHops},
+        {"diag_warnings", &O::diagWarnings},
+        {"diag_errors", &O::diagErrors},
+        {"skew_max_us", &O::skewMaxUs},
+        {"idle_fraction_mean", &O::idleFractionMean},
+        {"idle_waves", &O::idleWaves},
+        {"wave_speed_max", &O::waveSpeedMax},
+        {"max_link_util", &O::maxLinkUtil},
+        {"link_gini", &O::linkGini},
+        {"hotspot_count", &O::hotspotCount},
+        {"congestion_onset_load", &O::congestionOnsetLoad},
+        {"synth_latency_err", &O::synthLatencyErr},
+        {"synth_temporal_ks", &O::synthTemporalKs},
+        {"synth_spatial_ks", &O::synthSpatialKs},
+        {"synth_volume_ks", &O::synthVolumeKs},
+    };
+    return columns;
+}
 
 JobOutcome
 SweepEngine::runJob(const SweepJob &job, obs::MetricsRegistry &registry,
@@ -247,172 +234,22 @@ SweepEngine::runJob(const SweepJob &job, obs::MetricsRegistry &registry,
     core::ScopedDiagnostics diagScope{&diagSink};
 
     try {
-        std::optional<fault::FaultInjector> injector;
-        if (!job.faultPlan.empty()) {
-            fault::FaultPlan plan = fault::FaultPlan::parse(job.faultPlan);
-            // The seed dimension overrides the plan's own seed; seed 0
-            // means "use the plan's".
-            if (job.seed != 0)
-                plan.setSeed(job.seed);
-            injector.emplace(plan);
-        }
-
-        mesh::MeshConfig mcfg = meshOfJob(job);
-        if (injector)
-            mcfg.faults = &*injector;
-
-        core::CharacterizationPipeline pipeline;
+        core::PipelineOptions popts;
+        popts.synthesize = job.synthetic;
         // The watchdog doubles as the external-cancellation port: the
         // deadline monitor and the shutdown path flip `cancel`, and
         // the next periodic tick throws a cancelled WatchdogError out
-        // of the run. Without an injector the probe is the kernel's
-        // committed-event count, which advances on every tick, so the
-        // no-progress heuristic can never fire — only cancellation.
-        desim::WatchdogConfig wcfg;
-        wcfg.cancelFlag = cancel;
-
-        if (auto app = apps::makeSharedMemoryApp(job.app)) {
-            ccnuma::MachineConfig cfg;
-            cfg.mesh = mcfg;
-            desim::Simulator sim;
-            ccnuma::Machine machine{sim, cfg};
-            desim::Watchdog watchdog{sim, wcfg};
-            if (injector) {
-                watchdog.setProgressProbe([&machine] {
-                    return machine.network().messageCount();
-                });
-                watchdog.arm();
-            } else if (cancel != nullptr) {
-                watchdog.setProgressProbe(
-                    [&sim] { return sim.processedEvents(); });
-                watchdog.arm();
-            }
-            apps::launch(machine, *app);
-            machine.run();
-            core::CharacterizationReport report = pipeline.analyze(
-                machine.log(), cfg.mesh, job.app, core::Strategy::Dynamic,
-                summaryOfMesh(machine.network(), machine.log(),
-                              sim.now()));
-            report.verified = app->verify();
-            fillOutcome(out, report);
-            if (job.synthetic)
-                fillSynthetic(out, report);
-            if (injector)
-                fillFaults(out, *injector, 0, 0);
-            if (job.rankActivity) {
-                activity.finish(sim.now());
-                core::RankActivitySummary ra =
-                    core::RankActivityAnalyzer{}.analyze(activity,
-                                                         report.phases);
-                fillRankActivity(out, ra);
-                core::publishRankMetrics(registry, ra);
-            }
-            if (job.linkStats) {
-                links.finish(sim.now());
-                core::LinkWeatherSummary lw =
-                    core::LinkWeatherAnalyzer{}.analyze(links, cfg.mesh,
-                                                        report.phases);
-                fillLinkStats(out, lw);
-                core::publishLinkMetrics(registry, lw);
-            }
-        } else if (auto mpApp = apps::makeMessagePassingApp(job.app)) {
-            mp::MpConfig cfg;
-            cfg.mesh = mcfg;
-            desim::Simulator sim;
-            mp::MpWorld world{sim, cfg};
-            desim::Watchdog watchdog{sim, wcfg};
-            if (injector) {
-                // Delivered messages plus resolved delivery failures:
-                // a bounded retry budget draining on a hostile plan is
-                // progress toward the accounted failure exit, while an
-                // unbounded no-delivery loop still trips the watchdog.
-                watchdog.setProgressProbe([&world] {
-                    return world.network().messageCount() +
-                           world.deliveryFailures();
-                });
-                watchdog.arm();
-            } else if (cancel != nullptr) {
-                watchdog.setProgressProbe(
-                    [&sim] { return sim.processedEvents(); });
-                watchdog.arm();
-            }
-            world.enableTracing();
-            apps::launch(world, *mpApp);
-            world.run();
-            bool verified = mpApp->verify();
-            trace::Trace collected = world.collectedTrace();
-            if (job.rankActivity)
-                activity.finish(sim.now());
-
-            // Detach the tracker for the rest of the job: the replay
-            // rebuilds a MeshNetwork that would re-resolve the hook
-            // and double-count the comm spans already recorded live.
-            obs::ScopedRankActivity detachActivity{nullptr};
-
-            core::ReplayOptions ropts;
-            if (injector) {
-                ropts.faults = &*injector;
-                ropts.enableWatchdog = true;
-            }
-            if (cancel != nullptr) {
-                // Cancellation must reach the replay simulation too.
-                // Without an injector the replay's delivered-message
-                // probe could stall legitimately (bursty delivery),
-                // so the stall threshold is pushed out of reach and
-                // only the cancel flag can trip.
-                ropts.enableWatchdog = true;
-                ropts.watchdog.cancelFlag = cancel;
-                if (!injector)
-                    ropts.watchdog.stallChecks = 1 << 30;
-            }
-            // The replay mesh is the network whose behaviour the
-            // static-strategy report describes, so the link sink
-            // restarts here: the replay re-declares the same topology
-            // and only its traffic enters the weather analysis.
-            if (job.linkStats)
-                links.reset();
-            auto replayed =
-                core::TraceReplayer::replay(collected, cfg.mesh, ropts);
-            core::NetworkSummary net;
-            net.latencyMean = replayed.latencyMean;
-            net.latencyMax = replayed.latencyMax;
-            net.contentionMean = replayed.contentionMean;
-            net.makespan = replayed.makespan;
-            net.avgChannelUtilization = replayed.avgChannelUtilization;
-            net.maxChannelUtilization = replayed.maxChannelUtilization;
-            core::CharacterizationReport report =
-                pipeline.analyze(replayed.log, cfg.mesh, job.app,
-                                 core::Strategy::Static, net);
-            report.verified = verified;
-            fillOutcome(out, report);
-            if (job.synthetic)
-                fillSynthetic(out, report);
-            if (job.rankActivity) {
-                core::RankActivitySummary ra =
-                    core::RankActivityAnalyzer{}.analyze(activity,
-                                                         report.phases);
-                fillRankActivity(out, ra);
-                core::publishRankMetrics(registry, ra);
-            }
-            if (job.linkStats) {
-                links.finish(replayed.makespan);
-                core::LinkWeatherSummary lw =
-                    core::LinkWeatherAnalyzer{}.analyze(links, cfg.mesh,
-                                                        report.phases);
-                fillLinkStats(out, lw);
-                core::publishLinkMetrics(registry, lw);
-            }
-            if (injector) {
-                fillFaults(out, *injector,
-                           world.retransmits() + replayed.retransmits,
-                           world.deliveryFailures() +
-                               replayed.deliveryFailures);
-            }
-        } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "unknown application '" + job.app +
-                                       "'");
+        // of the run.
+        popts.watchdog.cancelFlag = cancel;
+        if (!job.faultPlan.empty()) {
+            popts.faultPlan = fault::FaultPlan::parse(job.faultPlan);
+            // The seed dimension overrides the plan's own seed; seed 0
+            // means "use the plan's".
+            if (job.seed != 0)
+                popts.faultPlan->setSeed(job.seed);
         }
+        core::CharacterizationPipeline pipeline{popts};
+        fillOutcome(out, pipeline.run(job.app, meshOfJob(job)));
     } catch (const core::CCharError &e) {
         out.status = core::toString(e.status().code());
         out.error = e.what();
@@ -895,68 +732,23 @@ SweepResult::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"index\":" << o.job.index << ",\"app\":";
-        jsonEscape(os, o.job.app);
+        core::writeJsonString(os, o.job.app);
         os << ",\"procs\":" << o.job.procs << ",\"width\":" << o.job.width
            << ",\"height\":" << o.job.height
            << ",\"torus\":" << (o.job.torus ? "true" : "false")
            << ",\"vcs\":" << o.job.vcs << ",\"load\":";
         jsonNumber(os, o.job.load);
         os << ",\"seed\":" << o.job.seed << ",\"fault_plan\":";
-        jsonEscape(os, o.job.faultPlan);
+        core::writeJsonString(os, o.job.faultPlan);
         os << ",\"status\":";
-        jsonEscape(os, o.status);
+        core::writeJsonString(os, o.status);
         os << ",\"error\":";
-        jsonEscape(os, o.error);
-        os << ",\"verified\":" << (o.verified ? "true" : "false")
-           << ",\"messages\":" << o.messages << ",\"total_bytes\":";
-        jsonNumber(os, o.totalBytes);
-        os << ",\"latency_mean_us\":";
-        jsonNumber(os, o.latencyMean);
-        os << ",\"latency_max_us\":";
-        jsonNumber(os, o.latencyMax);
-        os << ",\"contention_mean_us\":";
-        jsonNumber(os, o.contentionMean);
-        os << ",\"makespan_us\":";
-        jsonNumber(os, o.makespan);
-        os << ",\"avg_channel_utilization\":";
-        jsonNumber(os, o.avgChannelUtilization);
-        os << ",\"max_channel_utilization\":";
-        jsonNumber(os, o.maxChannelUtilization);
-        os << ",\"temporal_fit\":";
-        jsonEscape(os, o.temporalFit);
-        os << ",\"spatial_pattern\":";
-        jsonEscape(os, o.spatialPattern);
-        os << ",\"dropped_packets\":" << o.droppedPackets
-           << ",\"corrupted_packets\":" << o.corruptedPackets
-           << ",\"link_drops\":" << o.linkDrops
-           << ",\"retransmits\":" << o.retransmits
-           << ",\"delivery_failures\":" << o.deliveryFailures
-           << ",\"rerouted_packets\":" << o.reroutedPackets
-           << ",\"reroute_extra_hops\":" << o.rerouteExtraHops
-           << ",\"diag_warnings\":" << o.diagWarnings
-           << ",\"diag_errors\":" << o.diagErrors
-           << ",\"skew_max_us\":";
-        jsonNumber(os, o.skewMaxUs);
-        os << ",\"idle_fraction_mean\":";
-        jsonNumber(os, o.idleFractionMean);
-        os << ",\"idle_waves\":" << o.idleWaves
-           << ",\"wave_speed_max\":";
-        jsonNumber(os, o.waveSpeedMax);
-        os << ",\"max_link_util\":";
-        jsonNumber(os, o.maxLinkUtil);
-        os << ",\"link_gini\":";
-        jsonNumber(os, o.linkGini);
-        os << ",\"hotspot_count\":" << o.hotspotCount
-           << ",\"congestion_onset_load\":";
-        jsonNumber(os, o.congestionOnsetLoad);
-        os << ",\"synth_latency_err\":";
-        jsonNumber(os, o.synthLatencyErr);
-        os << ",\"synth_temporal_ks\":";
-        jsonNumber(os, o.synthTemporalKs);
-        os << ",\"synth_spatial_ks\":";
-        jsonNumber(os, o.synthSpatialKs);
-        os << ",\"synth_volume_ks\":";
-        jsonNumber(os, o.synthVolumeKs);
+        core::writeJsonString(os, o.error);
+        for (const OutcomeColumn &c : outcomeColumns()) {
+            os << ",\"" << c.name << "\":";
+            std::visit([&](auto m) { columnValue(os, o.*m, false); },
+                       c.member);
+        }
         os << ",\"attempts\":" << o.attempts << ",\"quarantined\":"
            << (o.quarantined ? "true" : "false") << "}";
     }
@@ -973,13 +765,13 @@ SweepResult::writeJson(std::ostream &os) const
                 os << ",";
             firstDegraded = false;
             os << "{\"index\":" << o.job.index << ",\"app\":";
-            jsonEscape(os, o.job.app);
+            core::writeJsonString(os, o.job.app);
             os << ",\"label\":";
-            jsonEscape(os, o.job.label());
+            core::writeJsonString(os, o.job.label());
             os << ",\"status\":";
-            jsonEscape(os, o.status);
+            core::writeJsonString(os, o.status);
             os << ",\"attempts\":" << o.attempts << ",\"error\":";
-            jsonEscape(os, o.error);
+            core::writeJsonString(os, o.error);
             os << "}";
         }
         os << "]";
@@ -996,16 +788,10 @@ void
 SweepResult::writeCsv(std::ostream &os) const
 {
     os << "index,app,procs,width,height,torus,vcs,load,seed,fault_plan,"
-          "status,verified,messages,total_bytes,latency_mean_us,"
-          "latency_max_us,contention_mean_us,makespan_us,"
-          "avg_channel_utilization,max_channel_utilization,temporal_fit,"
-          "spatial_pattern,dropped_packets,corrupted_packets,link_drops,"
-          "retransmits,delivery_failures,rerouted_packets,"
-          "reroute_extra_hops,diag_warnings,diag_errors,"
-          "skew_max_us,idle_fraction_mean,idle_waves,wave_speed_max,"
-          "max_link_util,link_gini,hotspot_count,"
-          "congestion_onset_load,synth_latency_err,synth_temporal_ks,"
-          "synth_spatial_ks,synth_volume_ks,attempts,quarantined\n";
+          "status";
+    for (const OutcomeColumn &c : outcomeColumns())
+        os << "," << c.name;
+    os << ",attempts,quarantined\n";
     for (const JobOutcome &o : outcomes) {
         os << o.job.index << ",";
         csvField(os, o.job.app);
@@ -1017,48 +803,11 @@ SweepResult::writeCsv(std::ostream &os) const
         csvField(os, o.job.faultPlan);
         os << ",";
         csvField(os, o.status);
-        os << "," << (o.verified ? 1 : 0) << "," << o.messages << ",";
-        jsonNumber(os, o.totalBytes);
-        os << ",";
-        jsonNumber(os, o.latencyMean);
-        os << ",";
-        jsonNumber(os, o.latencyMax);
-        os << ",";
-        jsonNumber(os, o.contentionMean);
-        os << ",";
-        jsonNumber(os, o.makespan);
-        os << ",";
-        jsonNumber(os, o.avgChannelUtilization);
-        os << ",";
-        jsonNumber(os, o.maxChannelUtilization);
-        os << ",";
-        csvField(os, o.temporalFit);
-        os << ",";
-        csvField(os, o.spatialPattern);
-        os << "," << o.droppedPackets << "," << o.corruptedPackets << ","
-           << o.linkDrops << "," << o.retransmits << ","
-           << o.deliveryFailures << "," << o.reroutedPackets << ","
-           << o.rerouteExtraHops << "," << o.diagWarnings << ","
-           << o.diagErrors << ",";
-        jsonNumber(os, o.skewMaxUs);
-        os << ",";
-        jsonNumber(os, o.idleFractionMean);
-        os << "," << o.idleWaves << ",";
-        jsonNumber(os, o.waveSpeedMax);
-        os << ",";
-        jsonNumber(os, o.maxLinkUtil);
-        os << ",";
-        jsonNumber(os, o.linkGini);
-        os << "," << o.hotspotCount << ",";
-        jsonNumber(os, o.congestionOnsetLoad);
-        os << ",";
-        jsonNumber(os, o.synthLatencyErr);
-        os << ",";
-        jsonNumber(os, o.synthTemporalKs);
-        os << ",";
-        jsonNumber(os, o.synthSpatialKs);
-        os << ",";
-        jsonNumber(os, o.synthVolumeKs);
+        for (const OutcomeColumn &c : outcomeColumns()) {
+            os << ",";
+            std::visit([&](auto m) { columnValue(os, o.*m, true); },
+                       c.member);
+        }
         os << "," << o.attempts << "," << (o.quarantined ? 1 : 0)
            << "\n";
     }

@@ -34,6 +34,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/registry.hh"
@@ -118,6 +119,24 @@ struct JobOutcome
 
     bool ok() const { return status == "ok"; }
 };
+
+/**
+ * One result column of a JobOutcome: the name it carries in the JSON
+ * report, the CSV header and the journal, and the member holding it.
+ */
+struct OutcomeColumn
+{
+    const char *name;
+    std::variant<bool JobOutcome::*, std::uint64_t JobOutcome::*,
+                 double JobOutcome::*, std::string JobOutcome::*>
+        member;
+};
+
+/**
+ * The result columns (verified ... synth_volume_ks), in the order the
+ * JSON report, the CSV and the journal write them.
+ */
+const std::vector<OutcomeColumn> &outcomeColumns();
 
 /**
  * Wall-clock view of one worker thread: fraction of the sweep's wall

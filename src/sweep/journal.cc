@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -75,40 +76,6 @@ hexDouble(std::ostream &os, double v)
     os << '"' << buf << '"';
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        case '\b':
-            os << "\\b";
-            break;
-        case '\f':
-            os << "\\f";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
-
 [[noreturn]] void
 parseFail(const std::string &what)
 {
@@ -154,6 +121,46 @@ captureRecord(const JobOutcome &outcome,
     return record;
 }
 
+/** Read one outcome column value of a record. */
+template <typename T>
+void
+readValue(core::JsonScanner &js, T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        v = js.readBool();
+    else if constexpr (std::is_same_v<T, double>)
+        v = parseHexDouble(js);
+    else if constexpr (std::is_same_v<T, std::string>)
+        v = js.readString();
+    else
+        v = js.readUInt();
+}
+
+/** Write one outcome column value of a record (doubles as hexfloat). */
+template <typename T>
+void
+writeValue(std::ostream &os, const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        os << (v ? "true" : "false");
+    else if constexpr (std::is_same_v<T, double>)
+        hexDouble(os, v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        core::writeJsonString(os, v);
+    else
+        os << v;
+}
+
+/** The outcome column named `name`, or nullptr. */
+const OutcomeColumn *
+findColumn(const std::string &name)
+{
+    for (const OutcomeColumn &c : outcomeColumns())
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
 /** Parse the {...} body shared by live and reparsed records. */
 JournalRecord
 parseRecordBody(core::JsonScanner &js)
@@ -165,7 +172,9 @@ parseRecordBody(core::JsonScanner &js)
     for (;;) {
         std::string key = js.readString();
         js.expect(':');
-        if (key == "type") {
+        if (const OutcomeColumn *c = findColumn(key)) {
+            std::visit([&](auto m) { readValue(js, o.*m); }, c->member);
+        } else if (key == "type") {
             if (js.readString() != "job")
                 js.fail("record type is not 'job'");
             sawType = true;
@@ -181,70 +190,6 @@ parseRecordBody(core::JsonScanner &js)
             o.status = js.readString();
         } else if (key == "error") {
             o.error = js.readString();
-        } else if (key == "verified") {
-            o.verified = js.readBool();
-        } else if (key == "messages") {
-            o.messages = js.readUInt();
-        } else if (key == "total_bytes") {
-            o.totalBytes = parseHexDouble(js);
-        } else if (key == "latency_mean_us") {
-            o.latencyMean = parseHexDouble(js);
-        } else if (key == "latency_max_us") {
-            o.latencyMax = parseHexDouble(js);
-        } else if (key == "contention_mean_us") {
-            o.contentionMean = parseHexDouble(js);
-        } else if (key == "makespan_us") {
-            o.makespan = parseHexDouble(js);
-        } else if (key == "avg_channel_utilization") {
-            o.avgChannelUtilization = parseHexDouble(js);
-        } else if (key == "max_channel_utilization") {
-            o.maxChannelUtilization = parseHexDouble(js);
-        } else if (key == "temporal_fit") {
-            o.temporalFit = js.readString();
-        } else if (key == "spatial_pattern") {
-            o.spatialPattern = js.readString();
-        } else if (key == "dropped_packets") {
-            o.droppedPackets = js.readUInt();
-        } else if (key == "corrupted_packets") {
-            o.corruptedPackets = js.readUInt();
-        } else if (key == "link_drops") {
-            o.linkDrops = js.readUInt();
-        } else if (key == "retransmits") {
-            o.retransmits = js.readUInt();
-        } else if (key == "delivery_failures") {
-            o.deliveryFailures = js.readUInt();
-        } else if (key == "rerouted_packets") {
-            o.reroutedPackets = js.readUInt();
-        } else if (key == "reroute_extra_hops") {
-            o.rerouteExtraHops = js.readUInt();
-        } else if (key == "diag_warnings") {
-            o.diagWarnings = js.readUInt();
-        } else if (key == "diag_errors") {
-            o.diagErrors = js.readUInt();
-        } else if (key == "skew_max_us") {
-            o.skewMaxUs = parseHexDouble(js);
-        } else if (key == "idle_fraction_mean") {
-            o.idleFractionMean = parseHexDouble(js);
-        } else if (key == "idle_waves") {
-            o.idleWaves = js.readUInt();
-        } else if (key == "wave_speed_max") {
-            o.waveSpeedMax = parseHexDouble(js);
-        } else if (key == "max_link_util") {
-            o.maxLinkUtil = parseHexDouble(js);
-        } else if (key == "link_gini") {
-            o.linkGini = parseHexDouble(js);
-        } else if (key == "hotspot_count") {
-            o.hotspotCount = js.readUInt();
-        } else if (key == "congestion_onset_load") {
-            o.congestionOnsetLoad = parseHexDouble(js);
-        } else if (key == "synth_latency_err") {
-            o.synthLatencyErr = parseHexDouble(js);
-        } else if (key == "synth_temporal_ks") {
-            o.synthTemporalKs = parseHexDouble(js);
-        } else if (key == "synth_spatial_ks") {
-            o.synthSpatialKs = parseHexDouble(js);
-        } else if (key == "synth_volume_ks") {
-            o.synthVolumeKs = parseHexDouble(js);
         } else if (key == "counters") {
             js.expect('{');
             if (!js.consumeIf('}')) {
@@ -387,64 +332,20 @@ formatJournalRecord(const JournalRecord &record)
        << "\",\"index\":" << o.job.index
        << ",\"attempts\":" << o.attempts << ",\"quarantined\":"
        << (o.quarantined ? "true" : "false") << ",\"status\":";
-    jsonEscape(os, o.status);
+    core::writeJsonString(os, o.status);
     os << ",\"error\":";
-    jsonEscape(os, o.error);
-    os << ",\"verified\":" << (o.verified ? "true" : "false")
-       << ",\"messages\":" << o.messages << ",\"total_bytes\":";
-    hexDouble(os, o.totalBytes);
-    os << ",\"latency_mean_us\":";
-    hexDouble(os, o.latencyMean);
-    os << ",\"latency_max_us\":";
-    hexDouble(os, o.latencyMax);
-    os << ",\"contention_mean_us\":";
-    hexDouble(os, o.contentionMean);
-    os << ",\"makespan_us\":";
-    hexDouble(os, o.makespan);
-    os << ",\"avg_channel_utilization\":";
-    hexDouble(os, o.avgChannelUtilization);
-    os << ",\"max_channel_utilization\":";
-    hexDouble(os, o.maxChannelUtilization);
-    os << ",\"temporal_fit\":";
-    jsonEscape(os, o.temporalFit);
-    os << ",\"spatial_pattern\":";
-    jsonEscape(os, o.spatialPattern);
-    os << ",\"dropped_packets\":" << o.droppedPackets
-       << ",\"corrupted_packets\":" << o.corruptedPackets
-       << ",\"link_drops\":" << o.linkDrops
-       << ",\"retransmits\":" << o.retransmits
-       << ",\"delivery_failures\":" << o.deliveryFailures
-       << ",\"rerouted_packets\":" << o.reroutedPackets
-       << ",\"reroute_extra_hops\":" << o.rerouteExtraHops
-       << ",\"diag_warnings\":" << o.diagWarnings
-       << ",\"diag_errors\":" << o.diagErrors << ",\"skew_max_us\":";
-    hexDouble(os, o.skewMaxUs);
-    os << ",\"idle_fraction_mean\":";
-    hexDouble(os, o.idleFractionMean);
-    os << ",\"idle_waves\":" << o.idleWaves << ",\"wave_speed_max\":";
-    hexDouble(os, o.waveSpeedMax);
-    os << ",\"max_link_util\":";
-    hexDouble(os, o.maxLinkUtil);
-    os << ",\"link_gini\":";
-    hexDouble(os, o.linkGini);
-    os << ",\"hotspot_count\":" << o.hotspotCount
-       << ",\"congestion_onset_load\":";
-    hexDouble(os, o.congestionOnsetLoad);
-    os << ",\"synth_latency_err\":";
-    hexDouble(os, o.synthLatencyErr);
-    os << ",\"synth_temporal_ks\":";
-    hexDouble(os, o.synthTemporalKs);
-    os << ",\"synth_spatial_ks\":";
-    hexDouble(os, o.synthSpatialKs);
-    os << ",\"synth_volume_ks\":";
-    hexDouble(os, o.synthVolumeKs);
+    core::writeJsonString(os, o.error);
+    for (const OutcomeColumn &c : outcomeColumns()) {
+        os << ",\"" << c.name << "\":";
+        std::visit([&](auto m) { writeValue(os, o.*m); }, c.member);
+    }
     os << ",\"counters\":{";
     bool first = true;
     for (const auto &[name, value] : record.counters) {
         if (!first)
             os << ",";
         first = false;
-        jsonEscape(os, name);
+        core::writeJsonString(os, name);
         os << ":" << value;
     }
     os << "},\"gauges\":{";
@@ -453,7 +354,7 @@ formatJournalRecord(const JournalRecord &record)
         if (!first)
             os << ",";
         first = false;
-        jsonEscape(os, name);
+        core::writeJsonString(os, name);
         os << ":";
         hexDouble(os, value);
     }
@@ -463,7 +364,7 @@ formatJournalRecord(const JournalRecord &record)
         if (!first)
             os << ",";
         first = false;
-        jsonEscape(os, name);
+        core::writeJsonString(os, name);
         os << ":{\"count\":" << data.count << ",\"sum\":";
         hexDouble(os, data.sum);
         os << ",\"min\":";

@@ -162,8 +162,10 @@ TEST(Replay, OpenLoopInjectsWithoutWaiting)
     mesh::MeshConfig mesh;
     mesh.width = 2;
     mesh.height = 1;
-    auto blocking = TraceReplayer::replay(t, mesh, true);
-    auto open = TraceReplayer::replay(t, mesh, false);
+    core::ReplayOptions openLoop;
+    openLoop.blocking = false;
+    auto blocking = TraceReplayer::replay(t, mesh);
+    auto open = TraceReplayer::replay(t, mesh, openLoop);
     // Open loop: all injections near t=i*0.1; blocking: spaced by
     // message service time.
     EXPECT_LT(open.log.records().back().injectTime,

@@ -4,17 +4,21 @@
  * (canonical order, range parsing, validation), mesh factorization,
  * the JSON spec form, per-worker metric merging, and the central
  * guarantee — the merged report is byte-identical for any worker
- * count, including matrices whose jobs fail.
+ * count, including matrices whose jobs fail. A cross-path suite ties
+ * a sweep job to the characterization `cchar characterize` runs on
+ * the same point.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/pipeline.hh"
 #include "core/status.hh"
-#include "obs/registry.hh"
+#include "obs/obs.hh"
 #include "sweep/engine.hh"
 #include "sweep/spec.hh"
 
@@ -218,5 +222,121 @@ TEST(SweepEngine, FailedJobsAreRecordedNotThrown)
     EXPECT_FALSE(result.outcomes[0].error.empty());
     EXPECT_EQ(result.failures(), 1u);
 }
+
+// --------------------------------------------------------------------
+// Cross-path agreement: a sweep job and `cchar characterize` on the
+// same point (4x4 mesh, load 1, rank activity and link stats on)
+
+const char *const kLinkRouterPlan =
+    "link:5->6:down@[0ms,1000ms]; router:9:stall=50@[0ms,1000ms]";
+
+bool
+obsEnabled()
+{
+    obs::MetricsRegistry probe;
+    obs::ScopedObservability scoped{&probe};
+    return obs::metrics() != nullptr;
+}
+
+/** The point characterized as `cchar characterize APP --rank-activity
+ *  --link-stats [--fault-plan PLAN]` does it. */
+core::CharacterizationReport
+characterizePoint(const std::string &app, const std::string &plan)
+{
+    obs::MetricsRegistry registry;
+    obs::FlowTracker flows;
+    obs::RankActivityTracker activity;
+    obs::LinkStatsTracker links;
+    obs::ScopedObservability scope{&registry, nullptr, &flows, &activity,
+                                   &links};
+    core::PipelineOptions popts;
+    if (!plan.empty())
+        popts.faultPlan = fault::FaultPlan::parse(plan);
+    mesh::MeshConfig mesh;
+    mesh.width = 4;
+    mesh.height = 4;
+    return core::CharacterizationPipeline{popts}.run(app, mesh);
+}
+
+class CrossPath
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{};
+
+TEST_P(CrossPath, SweepJobMatchesCharacterize)
+{
+    const auto &[app, faulted] = GetParam();
+    const std::string plan = faulted ? kLinkRouterPlan : "";
+    SweepJob job;
+    job.app = app;
+    job.procs = 16;
+    sweep::meshFactor(16, job.width, job.height);
+    job.faultPlan = plan;
+    job.rankActivity = true;
+    job.linkStats = true;
+    obs::MetricsRegistry jobRegistry;
+    sweep::JobOutcome out = SweepEngine::runJob(job, jobRegistry);
+    ASSERT_TRUE(out.ok()) << out.error;
+    core::CharacterizationReport report = characterizePoint(app, plan);
+
+    EXPECT_EQ(out.verified, report.verified);
+    EXPECT_EQ(out.latencyMean, report.network.latencyMean);
+    EXPECT_EQ(out.latencyMax, report.network.latencyMax);
+    EXPECT_EQ(out.contentionMean, report.network.contentionMean);
+    EXPECT_EQ(out.makespan, report.network.makespan);
+    EXPECT_EQ(out.avgChannelUtilization,
+              report.network.avgChannelUtilization);
+    EXPECT_EQ(out.maxChannelUtilization,
+              report.network.maxChannelUtilization);
+    EXPECT_EQ(out.messages, report.volume.messageCount);
+    EXPECT_EQ(out.totalBytes, report.volume.totalBytes);
+    ASSERT_TRUE(report.temporalAggregate.fit.dist);
+    EXPECT_EQ(out.temporalFit, report.temporalAggregate.fit.dist->name());
+    EXPECT_EQ(out.spatialPattern,
+              stats::toString(report.spatialAggregate.pattern));
+
+    const core::ResilienceSummary &rs = report.resilience;
+    EXPECT_EQ(rs.enabled, faulted);
+    EXPECT_EQ(out.droppedPackets, rs.droppedPackets);
+    EXPECT_EQ(out.corruptedPackets, rs.corruptedPackets);
+    EXPECT_EQ(out.linkDrops, rs.linkDrops);
+    EXPECT_EQ(out.retransmits, rs.retransmits);
+    EXPECT_EQ(out.deliveryFailures, rs.deliveryFailures);
+    EXPECT_EQ(out.reroutedPackets, rs.reroutedPackets);
+    EXPECT_EQ(out.rerouteExtraHops, rs.rerouteExtraHops);
+
+    if (!obsEnabled())
+        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
+    const core::RankActivitySummary &ra = report.rankActivity;
+    ASSERT_TRUE(ra.enabled);
+    ASSERT_FALSE(ra.ranks.empty());
+    double idle = 0.0;
+    for (const core::RankActivityRow &row : ra.ranks)
+        idle += row.idleFraction;
+    EXPECT_EQ(out.skewMaxUs, ra.maxAbsSkewUs);
+    EXPECT_EQ(out.idleFractionMean,
+              idle / static_cast<double>(ra.ranks.size()));
+    const core::LinkWeatherSummary &lw = report.linkStats;
+    ASSERT_TRUE(lw.enabled);
+    EXPECT_GT(lw.maxUtilization, 0.0);
+    EXPECT_EQ(out.maxLinkUtil, lw.maxUtilization);
+    EXPECT_EQ(out.linkGini, lw.gini);
+    EXPECT_EQ(out.hotspotCount,
+              static_cast<std::uint64_t>(lw.hotspotCount));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperApps, CrossPath,
+    ::testing::Combine(::testing::Values("1d-fft", "is", "cholesky",
+                                         "maxflow", "nbody", "sor",
+                                         "3d-fft", "mg"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<CrossPath::ParamType> &info) {
+        std::string name = std::get<0>(info.param) +
+                           (std::get<1>(info.param) ? "_faulted" : "");
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 } // namespace

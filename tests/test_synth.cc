@@ -277,7 +277,55 @@ TEST(SynthGating, FidelitySectionAppearsWhenEnabled)
 }
 
 // --------------------------------------------------------------------
+// Message-budget scaling
+
+TEST(SynthScale, MessageBudgetIsExact)
+{
+    // The model `cchar characterize cholesky --json --phases` writes.
+    core::PipelineOptions popts;
+    popts.detectPhases = true;
+    ccnuma::MachineConfig cfg;
+    cfg.mesh.width = 4;
+    cfg.mesh.height = 4;
+    auto app = apps::makeSharedMemoryApp("cholesky");
+    ASSERT_NE(app, nullptr);
+    SyntheticModel model = SyntheticModel::fromJson(reportJson(
+        core::CharacterizationPipeline{popts}.runDynamic(*app, cfg)));
+
+    // Rounding each source's quota on its own misses this budget.
+    EXPECT_EQ(model.scaleTo(64, 400000).totalMessages(), 400000u);
+
+    // Where per-source rounding already meets the budget, the split is
+    // that rounding, source for source.
+    SyntheticModel scaled = model.scaleTo(64, 250000);
+    EXPECT_EQ(scaled.totalMessages(), 250000u);
+    const std::size_t n = model.sources.size();
+    ASSERT_EQ(scaled.sources.size(), 4 * n);
+    const double scale =
+        250000.0 / (static_cast<double>(model.totalMessages()) * 4.0);
+    for (std::size_t i = 0; i < scaled.sources.size(); ++i) {
+        EXPECT_EQ(scaled.sources[i].messageCount,
+                  static_cast<std::size_t>(std::llround(
+                      static_cast<double>(model.sources[i % n].messageCount) *
+                      scale)))
+            << "source " << i;
+    }
+}
+
+// --------------------------------------------------------------------
 // The legacy --synthetic validation path rides on the same generator
+
+TEST(SynthLegacy, ValidationNumbersArePinned)
+{
+    // Frozen golden of the retired `characterize is --synthetic` line
+    // ("latency original 0.4385us, synthetic 0.6283us").
+    core::ValidationResult v = core::validateModel(characterizeApp("is"));
+    std::ostringstream os;
+    os.precision(4); // as the report text had left the CLI's stdout
+    os << "latency original " << v.originalLatencyMean << "us, synthetic "
+       << v.syntheticLatencyMean << "us";
+    EXPECT_EQ(os.str(), "latency original 0.4385us, synthetic 0.6283us");
+}
 
 TEST(SynthLegacy, ValidateModelMatchesDirectGeneration)
 {

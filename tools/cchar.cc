@@ -25,8 +25,9 @@
  *   --windows N                      print a windowed phase profile
  *   --phases                         detect execution phases and
  *                                    characterize each one
- *   --synthetic                      also run the fitted synthetic
- *                                    model and report validation
+ *   --json                           print the report as JSON
+ *   --out FILE                       write the report (replay, synth)
+ *                                    or the HTML (report) to FILE
  *
  * Observability options:
  *   --trace-out FILE                 write a Chrome trace-event JSON
@@ -91,16 +92,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
 
-#include "fault/injector.hh"
 #include "obs/obs.hh"
 
 #include "apps/registry.hh"
@@ -120,7 +118,6 @@ struct Options
     int vcs = 1;
     int windows = 0;
     bool phases = false;
-    bool synthetic = false;
     bool json = false;
     std::string out;
     std::string traceOut;
@@ -157,9 +154,6 @@ struct Options
     }
 };
 
-using apps::makeMessagePassingApp;
-using apps::makeSharedMemoryApp;
-
 mesh::MeshConfig
 meshOf(const Options &opts)
 {
@@ -174,290 +168,6 @@ meshOf(const Options &opts)
     }
     cfg.adaptiveRouting = opts.reroute;
     return cfg;
-}
-
-/**
- * Observability sinks for one tool invocation. Installs the process-
- * wide metrics registry / tracer before any simulator is built (so
- * components resolve their handles) and writes the requested output
- * files on finish().
- */
-class ObsSession
-{
-  public:
-    explicit ObsSession(const Options &opts)
-        : opts_(opts),
-          scope_(opts.wantsObs() ? &registry_ : nullptr,
-                 opts.traceOut.empty() ? nullptr : &tracer_,
-                 opts.wantsObs() ? &flows_ : nullptr,
-                 opts.rankActivity ? &activity_ : nullptr,
-                 opts.linkStats ? &linkStats_ : nullptr)
-    {}
-
-    /** The sampler to hand to the run, or nullptr when unwanted. */
-    obs::WindowedSampler *sampler()
-    {
-        return !opts_.metricsOut.empty() || !opts_.reportOut.empty() ||
-                       opts_.reportMode
-                   ? &sampler_
-                   : nullptr;
-    }
-
-    double samplePeriodUs() const { return opts_.samplePeriodUs; }
-
-    /** Installed sinks, for report rendering (null when inactive). */
-    const obs::MetricsRegistry *registry() const
-    {
-        return opts_.wantsObs() ? &registry_ : nullptr;
-    }
-    const obs::FlowTracker *flows() const
-    {
-        return opts_.wantsObs() ? &flows_ : nullptr;
-    }
-
-    /** The rank-activity tracker, or nullptr without --rank-activity. */
-    obs::RankActivityTracker *activity()
-    {
-        return opts_.rankActivity ? &activity_ : nullptr;
-    }
-
-    /** The link-stats tracker, or nullptr without --link-stats. */
-    obs::LinkStatsTracker *linkStats()
-    {
-        return opts_.linkStats ? &linkStats_ : nullptr;
-    }
-
-    /** Writable registry for post-run metric publication. */
-    obs::MetricsRegistry *mutableRegistry()
-    {
-        return opts_.wantsObs() ? &registry_ : nullptr;
-    }
-
-    /** Write --trace-out / --metrics-out files. False on I/O error. */
-    bool finish()
-    {
-        if (opts_.wantsObs()) {
-            obs::publishSinkStats(
-                registry_,
-                opts_.traceOut.empty() ? nullptr : &tracer_, &flows_);
-        }
-        if (!opts_.traceOut.empty()) {
-            core::AtomicFileWriter writer{opts_.traceOut};
-            tracer_.writeChromeJson(writer.stream());
-            writer.commit();
-            std::cerr << "wrote trace (" << tracer_.size()
-                      << " records, " << tracer_.dropped()
-                      << " dropped) to " << opts_.traceOut << "\n";
-            if (tracer_.dropped() > 0) {
-                std::cerr << "warning: trace ring buffer overwrote "
-                          << tracer_.dropped()
-                          << " records; the exported trace is "
-                             "truncated at the front\n";
-            }
-        }
-        if (!opts_.metricsOut.empty()) {
-            core::AtomicFileWriter writer{opts_.metricsOut};
-            core::writeMetricsJson(writer.stream(), &registry_,
-                                   &sampler_, &flows_);
-            writer.commit();
-            std::cerr << "wrote metrics to " << opts_.metricsOut
-                      << "\n";
-        }
-        return true;
-    }
-
-  private:
-    const Options &opts_;
-    obs::MetricsRegistry registry_;
-    obs::Tracer tracer_;
-    obs::WindowedSampler sampler_;
-    obs::FlowTracker flows_;
-    obs::RankActivityTracker activity_;
-    obs::LinkStatsTracker linkStats_;
-    obs::ScopedObservability scope_;
-};
-
-/** Periodic progress line on stderr, driven by the simulator clock. */
-void
-attachProgress(desim::Simulator &sim, double periodUs)
-{
-    sim.attachPeriodic(
-        [&sim](desim::SimTime t) {
-            std::cerr << "[cchar] t=" << t << "us  events="
-                      << sim.processedEvents() << "  calendar="
-                      << sim.calendarSize() << "\n";
-        },
-        periodUs);
-}
-
-int
-usage()
-{
-    std::cerr
-        << "usage:\n"
-           "  cchar list\n"
-           "  cchar characterize <app> [--width W] [--height H]\n"
-           "                     [--torus] [--vcs N] [--windows N]\n"
-           "                     [--phases] [--synthetic] [--json]\n"
-           "                     [--trace-out FILE] [--metrics-out FILE]\n"
-           "                     [--report-out FILE] [--rank-activity]\n"
-           "                     [--link-stats] [--top-links N]\n"
-           "                     [--sample-period US] [--progress]\n"
-           "                     [--fault-plan SPEC|@FILE] [--seed N]\n"
-           "                     [--no-reroute]\n"
-           "                     [--watchdog-period US]\n"
-           "                     [--watchdog-stalls N]\n"
-           "                     [--max-sim-time US]\n"
-           "  cchar report <app> [--out FILE] [characterize options]\n"
-           "  cchar trace <mp-app> --out FILE [--width W] [--height H]\n"
-           "  cchar replay <FILE> [--width W] [--height H] [--torus]\n"
-           "                      [--trace-out FILE] [--metrics-out FILE]\n"
-           "                      [--link-stats] [--top-links N]\n"
-           "                      [--fault-plan SPEC|@FILE] [--seed N]\n"
-           "                      [--no-reroute]\n"
-           "                      [--trace-errors strict|skip]\n"
-           "  cchar synth <MODEL.json> [--scale-procs N] [--messages M]\n"
-           "              [--seed N] [--time-scale X]\n"
-           "              [--max-outstanding N] [--use-phases]\n"
-           "              [--phases] [--json] [--out FILE]\n"
-           "              [--report-out FILE] [--metrics-out FILE]\n"
-           "              [--rank-activity] [--link-stats]\n"
-           "              [--top-links N] [--progress]\n"
-           "  cchar sweep [--spec FILE] [--apps LIST] [--procs LIST]\n"
-           "              [--loads LIST] [--seeds LIST|A..B]\n"
-           "              [--fault-plan SPEC]... [--torus] [--vcs N]\n"
-           "              [--rank-activity] [--link-stats] [--synthetic]\n"
-           "              [--progress]\n"
-           "              [-j N] [--out FILE] [--csv FILE]\n"
-           "              [--journal FILE] [--resume FILE]\n"
-           "              [--job-timeout SEC] [--job-retries N]\n"
-           "              [--retry-backoff-ms MS]\n"
-           "  cchar chaos [--seed N] [--plans N] [--apps LIST]\n"
-           "              [--procs N] [--max-faults N] [--horizon US]\n"
-           "              [--shrink-budget N] [--torus] [--vcs N]\n"
-           "              [--json] [--out FILE] [-j N] [--progress]\n"
-           "exit codes: 0 ok, 1 verification/analysis failure, 2 usage,\n"
-           "            3 input error, 4 simulation error, 5 watchdog,\n"
-           "            6 job deadline exceeded, 7 interrupted (resume\n"
-           "              with --resume JOURNAL)\n";
-    return 2;
-}
-
-bool
-parseOptions(int argc, char **argv, int first, Options &opts)
-{
-    for (int i = first; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&](int &slot) {
-            if (i + 1 >= argc)
-                return false;
-            slot = std::atoi(argv[++i]);
-            return true;
-        };
-        if (arg == "--width") {
-            if (!next(opts.width))
-                return false;
-        } else if (arg == "--height") {
-            if (!next(opts.height))
-                return false;
-        } else if (arg == "--vcs") {
-            if (!next(opts.vcs))
-                return false;
-        } else if (arg == "--windows") {
-            if (!next(opts.windows))
-                return false;
-        } else if (arg == "--torus") {
-            opts.torus = true;
-        } else if (arg == "--phases") {
-            opts.phases = true;
-        } else if (arg == "--synthetic") {
-            opts.synthetic = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.out = argv[++i];
-        } else if (arg == "--trace-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.traceOut = argv[++i];
-        } else if (arg == "--metrics-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.metricsOut = argv[++i];
-        } else if (arg == "--report-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.reportOut = argv[++i];
-        } else if (arg == "--sample-period") {
-            if (i + 1 >= argc)
-                return false;
-            opts.samplePeriodUs = std::atof(argv[++i]);
-            if (opts.samplePeriodUs <= 0.0)
-                return false;
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--rank-activity") {
-            opts.rankActivity = true;
-        } else if (arg == "--link-stats") {
-            opts.linkStats = true;
-        } else if (arg == "--top-links") {
-            if (!next(opts.topLinks) || opts.topLinks < 1)
-                return false;
-        } else if (arg == "--fault-plan") {
-            if (i + 1 >= argc)
-                return false;
-            opts.faultPlan = argv[++i];
-            if (opts.faultPlan.empty())
-                return false;
-        } else if (arg == "--no-reroute") {
-            opts.reroute = false;
-        } else if (arg == "--seed") {
-            if (i + 1 >= argc)
-                return false;
-            char *end = nullptr;
-            opts.seed = std::strtoull(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0')
-                return false;
-            opts.seedSet = true;
-        } else if (arg == "--trace-errors") {
-            if (i + 1 >= argc)
-                return false;
-            std::string mode = argv[++i];
-            if (mode == "strict")
-                opts.traceErrors = trace::ErrorMode::Strict;
-            else if (mode == "skip")
-                opts.traceErrors = trace::ErrorMode::Lenient;
-            else
-                return false;
-        } else if (arg == "--strict") {
-            opts.traceErrors = trace::ErrorMode::Strict;
-        } else if (arg == "--lenient") {
-            opts.traceErrors = trace::ErrorMode::Lenient;
-        } else if (arg == "--watchdog-period") {
-            if (i + 1 >= argc)
-                return false;
-            opts.watchdog.checkPeriodUs = std::atof(argv[++i]);
-            if (opts.watchdog.checkPeriodUs <= 0.0)
-                return false;
-        } else if (arg == "--watchdog-stalls") {
-            int stalls = 0;
-            if (!next(stalls) || stalls < 1)
-                return false;
-            opts.watchdog.stallChecks = stalls;
-        } else if (arg == "--max-sim-time") {
-            if (i + 1 >= argc)
-                return false;
-            opts.watchdog.maxSimTimeUs = std::atof(argv[++i]);
-            if (opts.watchdog.maxSimTimeUs < 0.0)
-                return false;
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            return false;
-        }
-    }
-    return true;
 }
 
 /**
@@ -487,47 +197,345 @@ loadFaultPlan(const Options &opts)
     return plan;
 }
 
-/** Fill the report's Resilience section from the run's fault state. */
-void
-fillResilience(core::ResilienceSummary &rs,
-               const fault::FaultInjector &injector,
-               std::uint64_t retransmits, std::uint64_t deliveryFailures,
-               std::uint64_t traceRecordsSkipped)
+/**
+ * Observability sinks for one tool invocation. Installs the process-
+ * wide metrics registry / tracer before any simulator is built (so
+ * components resolve their handles) and writes the requested output
+ * files on finish().
+ */
+class ObsSession
 {
-    rs.enabled = true;
-    rs.planDescription = injector.plan().describe();
-    rs.faultsPlanned = injector.plan().faults().size();
-    rs.droppedPackets = injector.drops();
-    rs.corruptedPackets = injector.corrupts();
-    rs.linkDrops = injector.linkDrops();
-    rs.routerStalls = injector.routerStalls();
-    rs.retransmits = retransmits;
-    rs.deliveryFailures = deliveryFailures;
-    rs.traceRecordsSkipped = traceRecordsSkipped;
-    rs.plannedLinkDowntimeUs = injector.plan().plannedLinkDowntimeUs();
-    rs.reroutedPackets = injector.reroutes();
-    rs.rerouteExtraHops = injector.rerouteExtraHops();
+  public:
+    explicit ObsSession(const Options &opts)
+        : opts_(opts),
+          scope_(opts.wantsObs() ? &registry_ : nullptr,
+                 opts.traceOut.empty() ? nullptr : &tracer_,
+                 opts.wantsObs() ? &flows_ : nullptr,
+                 opts.rankActivity ? &activity_ : nullptr,
+                 opts.linkStats ? &linkStats_ : nullptr)
+    {}
+
+    /**
+     * The run's characterization knobs, with this session's sampler.
+     * Loads the fault plan, so call it once the sinks are installed.
+     */
+    core::PipelineOptions
+    pipelineOptions()
+    {
+        core::PipelineOptions popts;
+        popts.detectPhases =
+            opts_.phases || opts_.reportMode || !opts_.reportOut.empty();
+        popts.sampler = sampler();
+        popts.samplePeriodUs = opts_.samplePeriodUs;
+        if (opts_.faulted())
+            popts.faultPlan = loadFaultPlan(opts_);
+        popts.watchdog = opts_.watchdog;
+        popts.progress = opts_.progress ? &std::cerr : nullptr;
+        popts.linkWeather.topLinks = opts_.topLinks;
+        return popts;
+    }
+
+    /**
+     * Write the --trace-out / --metrics-out files; returns the inputs
+     * of the HTML report of `report`.
+     */
+    core::HtmlReportInputs
+    finish(const core::CharacterizationReport &report)
+    {
+        if (opts_.wantsObs()) {
+            obs::publishSinkStats(
+                registry_,
+                opts_.traceOut.empty() ? nullptr : &tracer_, &flows_);
+        }
+        if (!opts_.traceOut.empty()) {
+            core::AtomicFileWriter writer{opts_.traceOut};
+            tracer_.writeChromeJson(writer.stream());
+            writer.commit();
+            std::cerr << "wrote trace (" << tracer_.size()
+                      << " records, " << tracer_.dropped()
+                      << " dropped) to " << opts_.traceOut << "\n";
+            if (tracer_.dropped() > 0) {
+                std::cerr << "warning: trace ring buffer overwrote "
+                          << tracer_.dropped()
+                          << " records; the exported trace is "
+                             "truncated at the front\n";
+            }
+        }
+        if (!opts_.metricsOut.empty()) {
+            core::AtomicFileWriter writer{opts_.metricsOut};
+            core::writeMetricsJson(writer.stream(), &registry_,
+                                   &sampler_, &flows_);
+            writer.commit();
+            std::cerr << "wrote metrics to " << opts_.metricsOut
+                      << "\n";
+        }
+        core::HtmlReportInputs html;
+        html.report = &report;
+        html.registry = opts_.wantsObs() ? &registry_ : nullptr;
+        html.sampler = sampler();
+        html.flows = opts_.wantsObs() ? &flows_ : nullptr;
+        return html;
+    }
+
+  private:
+    /** The telemetry sampler, or nullptr when no output shows it. */
+    obs::WindowedSampler *
+    sampler()
+    {
+        return !opts_.metricsOut.empty() || !opts_.reportOut.empty() ||
+                       opts_.reportMode
+                   ? &sampler_
+                   : nullptr;
+    }
+
+    const Options &opts_;
+    obs::MetricsRegistry registry_;
+    obs::Tracer tracer_;
+    obs::WindowedSampler sampler_;
+    obs::FlowTracker flows_;
+    obs::RankActivityTracker activity_;
+    obs::LinkStatsTracker linkStats_;
+    obs::ScopedObservability scope_;
+};
+
+int
+usage()
+{
+    std::cerr
+        << "usage:\n"
+           "  cchar list\n"
+           "  cchar characterize <app> [--width W] [--height H]\n"
+           "                     [--torus] [--vcs N] [--windows N]\n"
+           "                     [--phases] [--json]\n"
+           "                     [--trace-out FILE] [--metrics-out FILE]\n"
+           "                     [--report-out FILE] [--rank-activity]\n"
+           "                     [--link-stats] [--top-links N]\n"
+           "                     [--sample-period US] [--progress]\n"
+           "                     [--fault-plan SPEC|@FILE] [--seed N]\n"
+           "                     [--no-reroute]\n"
+           "                     [--watchdog-period US]\n"
+           "                     [--watchdog-stalls N]\n"
+           "                     [--max-sim-time US]\n"
+           "  cchar report <app> [--out FILE] [characterize options]\n"
+           "  cchar trace <mp-app> --out FILE [--width W] [--height H]\n"
+           "  cchar replay <FILE> [--width W] [--height H] [--torus]\n"
+           "                      [--phases] [--json] [--out FILE]\n"
+           "                      [--report-out FILE]\n"
+           "                      [--trace-out FILE] [--metrics-out FILE]\n"
+           "                      [--link-stats] [--top-links N]\n"
+           "                      [--fault-plan SPEC|@FILE] [--seed N]\n"
+           "                      [--no-reroute]\n"
+           "                      [--trace-errors strict|skip]\n"
+           "  cchar synth <MODEL.json> [--scale-procs N] [--messages M]\n"
+           "              [--seed N] [--time-scale X]\n"
+           "              [--max-outstanding N] [--use-phases]\n"
+           "              [--phases] [--json] [--out FILE]\n"
+           "              [--report-out FILE] [--metrics-out FILE]\n"
+           "              [--rank-activity] [--link-stats]\n"
+           "              [--top-links N]\n"
+           "  cchar sweep [--spec FILE] [--apps LIST] [--procs LIST]\n"
+           "              [--loads LIST] [--seeds LIST|A..B]\n"
+           "              [--fault-plan SPEC]... [--torus] [--vcs N]\n"
+           "              [--rank-activity] [--link-stats] [--synthetic]\n"
+           "              [--progress]\n"
+           "              [-j N] [--out FILE] [--csv FILE]\n"
+           "              [--journal FILE] [--resume FILE]\n"
+           "              [--job-timeout SEC] [--job-retries N]\n"
+           "              [--retry-backoff-ms MS]\n"
+           "  cchar chaos [--seed N] [--plans N] [--apps LIST]\n"
+           "              [--procs N] [--max-faults N] [--horizon US]\n"
+           "              [--shrink-budget N] [--torus] [--vcs N]\n"
+           "              [--json] [--out FILE] [-j N] [--progress]\n"
+           "exit codes: 0 ok, 1 verification/analysis failure, 2 usage,\n"
+           "            3 input error, 4 simulation error, 5 watchdog,\n"
+           "            6 job deadline exceeded, 7 interrupted (resume\n"
+           "              with --resume JOURNAL)\n";
+    return 2;
+}
+
+bool
+parseOptions(int argc, char **argv, int first, Options &opts)
+{
+    for (int i = first; i < argc; ++i) {
+        std::string arg = argv[i];
+        // Store the flag's value (int, double or string) in `slot`.
+        auto next = [&](auto &slot) {
+            if (i + 1 >= argc)
+                return false;
+            const char *v = argv[++i];
+            using T = std::remove_reference_t<decltype(slot)>;
+            if constexpr (std::is_same_v<T, int>)
+                slot = std::atoi(v);
+            else if constexpr (std::is_same_v<T, double>)
+                slot = std::atof(v);
+            else
+                slot = v;
+            return true;
+        };
+        std::string value;
+        if (arg == "--width") {
+            if (!next(opts.width))
+                return false;
+        } else if (arg == "--height") {
+            if (!next(opts.height))
+                return false;
+        } else if (arg == "--vcs") {
+            if (!next(opts.vcs))
+                return false;
+        } else if (arg == "--windows") {
+            if (!next(opts.windows))
+                return false;
+        } else if (arg == "--torus") {
+            opts.torus = true;
+        } else if (arg == "--phases") {
+            opts.phases = true;
+        } else if (arg == "--json") {
+            opts.json = true;
+        } else if (arg == "--out") {
+            if (!next(opts.out))
+                return false;
+        } else if (arg == "--trace-out") {
+            if (!next(opts.traceOut))
+                return false;
+        } else if (arg == "--metrics-out") {
+            if (!next(opts.metricsOut))
+                return false;
+        } else if (arg == "--report-out") {
+            if (!next(opts.reportOut))
+                return false;
+        } else if (arg == "--sample-period") {
+            if (!next(opts.samplePeriodUs) || opts.samplePeriodUs <= 0.0)
+                return false;
+        } else if (arg == "--progress") {
+            opts.progress = true;
+        } else if (arg == "--rank-activity") {
+            opts.rankActivity = true;
+        } else if (arg == "--link-stats") {
+            opts.linkStats = true;
+        } else if (arg == "--top-links") {
+            if (!next(opts.topLinks) || opts.topLinks < 1)
+                return false;
+        } else if (arg == "--fault-plan") {
+            if (!next(opts.faultPlan) || opts.faultPlan.empty())
+                return false;
+        } else if (arg == "--no-reroute") {
+            opts.reroute = false;
+        } else if (arg == "--seed") {
+            if (!next(value))
+                return false;
+            char *end = nullptr;
+            opts.seed = std::strtoull(value.c_str(), &end, 10);
+            if (end == value.c_str() || *end != '\0')
+                return false;
+            opts.seedSet = true;
+        } else if (arg == "--trace-errors") {
+            if (!next(value))
+                return false;
+            if (value == "strict")
+                opts.traceErrors = trace::ErrorMode::Strict;
+            else if (value == "skip")
+                opts.traceErrors = trace::ErrorMode::Lenient;
+            else
+                return false;
+        } else if (arg == "--strict") {
+            opts.traceErrors = trace::ErrorMode::Strict;
+        } else if (arg == "--lenient") {
+            opts.traceErrors = trace::ErrorMode::Lenient;
+        } else if (arg == "--watchdog-period") {
+            if (!next(opts.watchdog.checkPeriodUs) ||
+                opts.watchdog.checkPeriodUs <= 0.0)
+                return false;
+        } else if (arg == "--watchdog-stalls") {
+            if (!next(opts.watchdog.stallChecks) ||
+                opts.watchdog.stallChecks < 1)
+                return false;
+        } else if (arg == "--max-sim-time") {
+            if (!next(opts.watchdog.maxSimTimeUs) ||
+                opts.watchdog.maxSimTimeUs < 0.0)
+                return false;
+        } else {
+            std::cerr << "unknown option: " << arg << "\n";
+            return false;
+        }
+    }
+    return true;
 }
 
 void
-printWindows(const trace::TrafficLog &log, int windows)
+printWindows(std::ostream &os, const trace::TrafficLog &log, int windows)
 {
     core::TemporalAnalyzer analyzer;
     auto fits = analyzer.analyzeWindows(log, windows);
     auto bw = core::BandwidthAnalyzer::profile(log, windows);
-    std::cout << "\n-- Phase profile (" << windows << " windows) --\n";
-    std::cout << "  win   rate(/us)      CV   bytes/us  family\n";
+    os << "\n-- Phase profile (" << windows << " windows) --\n";
+    os << "  win   rate(/us)      CV   bytes/us  family\n";
     for (std::size_t w = 0; w < fits.size(); ++w) {
         double rate = fits[w].stats.mean > 0.0
                           ? 1.0 / fits[w].stats.mean
                           : 0.0;
-        std::cout << "  " << w << "    " << rate << "  "
-                  << fits[w].stats.cv << "  "
-                  << (w < bw.size() ? bw[w] : 0.0) << "  "
-                  << (fits[w].fit.dist ? fits[w].fit.dist->name()
-                                       : std::string{"(sparse)"})
-                  << "\n";
+        os << "  " << w << "    " << rate << "  " << fits[w].stats.cv
+           << "  " << (w < bw.size() ? bw[w] : 0.0) << "  "
+           << (fits[w].fit.dist ? fits[w].fit.dist->name()
+                                : std::string{"(sparse)"})
+           << "\n";
     }
+}
+
+/**
+ * The output step of characterize, report, replay and synth: the
+ * --trace-out / --metrics-out files, the --report-out HTML, then the
+ * report itself — HTML for `report`, else JSON or text followed by the
+ * --windows profile of `log` — written to `out`, or to stdout when
+ * `out` is empty.
+ * @return the exit code: 1 when the application failed verification.
+ */
+int
+writeOutputs(const core::CharacterizationReport &report,
+             ObsSession &obsSession, const Options &opts,
+             const std::string &out, const trace::TrafficLog &log)
+{
+    core::HtmlReportInputs html = obsSession.finish(report);
+    auto writeTo = [](const std::string &path, const auto &render) {
+        if (path.empty()) {
+            render(std::cout);
+            return;
+        }
+        core::AtomicFileWriter writer{path};
+        render(writer.stream());
+        writer.commit();
+    };
+    auto renderHtml = [&html](std::ostream &os) {
+        core::writeHtmlReport(os, html);
+    };
+    if (!opts.reportOut.empty()) {
+        writeTo(opts.reportOut, renderHtml);
+        std::cerr << "wrote HTML report to " << opts.reportOut << "\n";
+    }
+    if (opts.reportMode) {
+        if (opts.reportOut.empty()) {
+            writeTo(out, renderHtml);
+            if (!out.empty())
+                std::cerr << "wrote HTML report to " << out << "\n";
+        }
+        return report.verified ? 0 : 1;
+    }
+
+    writeTo(out, [&](std::ostream &os) {
+        if (opts.json)
+            report.writeJson(os);
+        else
+            report.print(os);
+        // The text phase profile would trail the JSON document and
+        // break `cchar ... --json | python3 -m json.tool` style
+        // consumers, so it is text-mode only.
+        if (report.verified && opts.windows > 0 && !opts.json)
+            printWindows(os, log, opts.windows);
+    });
+    if (!report.verified) {
+        std::cerr << "WARNING: application verification FAILED\n";
+        return 1;
+    }
+    return 0;
 }
 
 /** Shared run-and-analyze step of `characterize` and `report`. */
@@ -535,226 +543,20 @@ int
 cmdCharacterize(const std::string &name, const Options &opts)
 {
     ObsSession obsSession{opts};
-    // The injector registers its fault.* metrics at construction, so
-    // it must come after the ObsSession installs the registry.
-    std::optional<fault::FaultInjector> injector;
-    if (opts.faulted())
-        injector.emplace(loadFaultPlan(opts));
-    core::PipelineOptions popts;
-    popts.detectPhases =
-        opts.phases || opts.reportMode || !opts.reportOut.empty();
-    core::CharacterizationPipeline pipeline{popts};
-    core::CharacterizationReport report;
-    trace::TrafficLog logCopy;
-
-    if (auto app = makeSharedMemoryApp(name)) {
-        ccnuma::MachineConfig cfg;
-        cfg.mesh = meshOf(opts);
-        if (injector)
-            cfg.mesh.faults = &*injector;
-        // Re-run manually to keep the raw log for --windows.
-        desim::Simulator sim;
-        ccnuma::Machine machine{sim, cfg};
-        desim::Watchdog watchdog{sim, opts.watchdog};
-        if (injector) {
-            watchdog.setProgressProbe(
-                [&machine] { return machine.network().messageCount(); });
-            watchdog.arm();
-        }
-        if (auto *sampler = obsSession.sampler()) {
-            core::attachNetworkTelemetry(sim, machine.network(),
-                                         *sampler,
-                                         obsSession.samplePeriodUs());
-        }
-        if (opts.progress)
-            attachProgress(sim, opts.samplePeriodUs * 10.0);
-        apps::launch(machine, *app);
-        machine.run();
-        core::NetworkSummary net;
-        net.latencyMean = machine.network().latencyStats().mean();
-        net.latencyMax = machine.network().latencyStats().max();
-        net.contentionMean =
-            machine.network().contentionStats().mean();
-        net.makespan = machine.log().lastDeliverTime();
-        net.avgChannelUtilization =
-            machine.network().averageChannelUtilization(sim.now());
-        net.maxChannelUtilization =
-            machine.network().maxChannelUtilization(sim.now());
-        report = pipeline.analyze(machine.log(), cfg.mesh, name,
-                                  core::Strategy::Dynamic, net);
-        report.verified = app->verify();
-        logCopy = machine.log();
-        if (injector)
-            fillResilience(report.resilience, *injector, 0, 0, 0);
-        if (auto *tracker = obsSession.activity()) {
-            tracker->finish(sim.now());
-            report.rankActivity =
-                core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                     report.phases);
-        }
-        if (auto *tracker = obsSession.linkStats()) {
-            tracker->finish(sim.now());
-            core::LinkWeatherConfig lwcfg;
-            lwcfg.topLinks = opts.topLinks;
-            report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-                *tracker, cfg.mesh, report.phases);
-        }
-    } else if (auto mpApp = makeMessagePassingApp(name)) {
-        // Run the two static-strategy phases in the open so the replay
-        // log is kept for --windows without replaying twice.
-        mp::MpConfig cfg;
-        cfg.mesh = meshOf(opts);
-        if (injector)
-            cfg.mesh.faults = &*injector;
-        desim::Simulator sim;
-        mp::MpWorld world{sim, cfg};
-        desim::Watchdog watchdog{sim, opts.watchdog};
-        if (injector) {
-            // Delivered messages plus resolved delivery failures: a
-            // bounded retry budget draining on a hostile plan (e.g.
-            // drop:1.0) is progress toward the accounted failure
-            // exit, while an unbounded no-delivery retry loop still
-            // trips the watchdog as livelock.
-            watchdog.setProgressProbe([&world] {
-                return world.network().messageCount() +
-                       world.deliveryFailures();
-            });
-            watchdog.arm();
-        }
-        world.enableTracing();
-        if (opts.progress)
-            attachProgress(sim, opts.samplePeriodUs * 10.0);
-        apps::launch(world, *mpApp);
-        world.run();
-        bool verified = mpApp->verify();
-        trace::Trace collected = world.collectedTrace();
-        if (auto *tracker = obsSession.activity())
-            tracker->finish(sim.now());
-        // The replay below rebuilds the network; detach the tracker so
-        // the replayed traffic does not double-count comm spans on top
-        // of the application run just recorded.
-        obs::ScopedRankActivity detachActivity{nullptr};
-
-        core::ReplayOptions ropts;
-        ropts.sampler = obsSession.sampler();
-        ropts.samplePeriodUs = obsSession.samplePeriodUs();
-        if (injector) {
-            ropts.faults = &*injector;
-            ropts.enableWatchdog = true;
-            ropts.watchdog = opts.watchdog;
-        }
-        // The replay mesh is the network the static-strategy report
-        // describes, so the link sink restarts here: the replay
-        // re-declares the same topology and only its traffic enters
-        // the weather analysis.
-        if (auto *tracker = obsSession.linkStats())
-            tracker->reset();
-        auto replayed =
-            core::TraceReplayer::replay(collected, cfg.mesh, ropts);
-        core::NetworkSummary net;
-        net.latencyMean = replayed.latencyMean;
-        net.latencyMax = replayed.latencyMax;
-        net.contentionMean = replayed.contentionMean;
-        net.makespan = replayed.makespan;
-        net.avgChannelUtilization = replayed.avgChannelUtilization;
-        net.maxChannelUtilization = replayed.maxChannelUtilization;
-        report = pipeline.analyze(replayed.log, cfg.mesh, name,
-                                  core::Strategy::Static, net);
-        report.verified = verified;
-        logCopy = replayed.log;
-        if (injector) {
-            fillResilience(report.resilience, *injector,
-                           world.retransmits() + replayed.retransmits,
-                           world.deliveryFailures() +
-                               replayed.deliveryFailures,
-                           0);
-            report.resilience.rankRetransmits = world.rankRetransmits();
-            report.resilience.rankCorruptDiscards =
-                world.rankCorruptDiscards();
-        }
-        if (auto *tracker = obsSession.activity()) {
-            report.rankActivity =
-                core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                     report.phases);
-        }
-        if (auto *tracker = obsSession.linkStats()) {
-            tracker->finish(replayed.makespan);
-            core::LinkWeatherConfig lwcfg;
-            lwcfg.topLinks = opts.topLinks;
-            report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-                *tracker, cfg.mesh, report.phases);
-        }
-    } else {
-        std::cerr << "unknown application: " << name << "\n";
-        return usage();
-    }
-
-    if (report.rankActivity.enabled) {
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
-    }
-    if (report.linkStats.enabled) {
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-
-    if (!obsSession.finish())
-        return 1;
-
-    core::HtmlReportInputs html;
-    html.report = &report;
-    html.registry = obsSession.registry();
-    html.sampler = obsSession.sampler();
-    html.flows = obsSession.flows();
-    if (!opts.reportOut.empty()) {
-        core::AtomicFileWriter writer{opts.reportOut};
-        core::writeHtmlReport(writer.stream(), html);
-        writer.commit();
-        std::cerr << "wrote HTML report to " << opts.reportOut << "\n";
-    }
-
-    if (opts.reportMode) {
-        if (opts.reportOut.empty()) {
-            if (!opts.out.empty()) {
-                core::AtomicFileWriter writer{opts.out};
-                core::writeHtmlReport(writer.stream(), html);
-                writer.commit();
-                std::cerr << "wrote HTML report to " << opts.out
-                          << "\n";
-            } else {
-                core::writeHtmlReport(std::cout, html);
-            }
-        }
-        return report.verified ? 0 : 1;
-    }
-
-    if (opts.json)
-        report.writeJson(std::cout);
-    else
-        report.print(std::cout);
-    if (!report.verified) {
-        std::cerr << "WARNING: application verification FAILED\n";
-        return 1;
-    }
-    // The text phase profile would trail the JSON document and break
-    // `cchar ... --json | python3 -m json.tool` style consumers, so it
-    // is text-mode only.
-    if (opts.windows > 0 && !opts.json)
-        printWindows(logCopy, opts.windows);
-    if (opts.synthetic) {
-        auto v = core::validateModel(report);
-        std::cout << "\n-- Synthetic model validation --\n"
-                  << "  latency original " << v.originalLatencyMean
-                  << "us, synthetic " << v.syntheticLatencyMean
-                  << "us (" << v.latencyError() * 100.0 << "%)\n";
-    }
-    return 0;
+    core::CharacterizationPipeline pipeline{obsSession.pipelineOptions()};
+    trace::TrafficLog log;
+    core::CharacterizationReport report = pipeline.run(
+        name, meshOf(opts), opts.windows > 0 ? &log : nullptr);
+    // characterize prints its report on stdout; --out only names the
+    // HTML file of `report`.
+    return writeOutputs(report, obsSession, opts,
+                        opts.reportMode ? opts.out : std::string{}, log);
 }
 
 int
 cmdTrace(const std::string &name, const Options &opts)
 {
-    auto app = makeMessagePassingApp(name);
+    auto app = apps::makeMessagePassingApp(name);
     if (!app) {
         std::cerr << "unknown message-passing application: " << name
                   << "\n";
@@ -791,72 +593,78 @@ cmdReplay(const std::string &path, const Options &opts)
                   << (t.skippedRecords() == 1 ? "" : "s") << "\n";
     }
     ObsSession obsSession{opts};
-    std::optional<fault::FaultInjector> injector;
-    if (opts.faulted())
-        injector.emplace(loadFaultPlan(opts));
-    core::ReplayOptions ropts;
-    ropts.sampler = obsSession.sampler();
-    ropts.samplePeriodUs = obsSession.samplePeriodUs();
-    if (injector) {
-        ropts.faults = &*injector;
-        ropts.enableWatchdog = true;
-        ropts.watchdog = opts.watchdog;
+    core::CharacterizationPipeline pipeline{obsSession.pipelineOptions()};
+    trace::TrafficLog log;
+    core::CharacterizationReport report = pipeline.runReplay(
+        t, meshOf(opts), path, opts.windows > 0 ? &log : nullptr);
+    report.verified = true; // a replay has no application invariant
+    if (!opts.json) {
+        const core::NetworkSummary &net = report.network;
+        std::cout << "replayed " << report.volume.messageCount
+                  << " messages: latency mean " << net.latencyMean
+                  << "us, contention mean " << net.contentionMean
+                  << "us, makespan " << net.makespan << "us\n";
+        if (opts.faulted()) {
+            const core::ResilienceSummary &rs = report.resilience;
+            std::cout << "resilience: " << rs.linkDrops
+                      << " link drops, " << rs.droppedPackets
+                      << " drops, " << rs.corruptedPackets
+                      << " corrupted, " << rs.retransmits
+                      << " retransmits, " << rs.deliveryFailures
+                      << " delivery failures\n";
+        }
     }
-    auto result = core::TraceReplayer::replay(t, meshOf(opts), ropts);
-    std::cout << "replayed " << result.log.size() << " messages: "
-              << "latency mean " << result.latencyMean
-              << "us, contention mean " << result.contentionMean
-              << "us, makespan " << result.makespan << "us\n";
-    if (injector) {
-        std::cout << "resilience: " << result.linkDrops
-                  << " link drops, " << result.droppedPackets
-                  << " drops, " << result.corruptedPackets
-                  << " corrupted, " << result.retransmits
-                  << " retransmits, " << result.deliveryFailures
-                  << " delivery failures\n";
-    }
-    core::CharacterizationPipeline pipeline;
-    core::NetworkSummary net;
-    net.latencyMean = result.latencyMean;
-    net.latencyMax = result.latencyMax;
-    net.contentionMean = result.contentionMean;
-    net.makespan = result.makespan;
-    net.avgChannelUtilization = result.avgChannelUtilization;
-    net.maxChannelUtilization = result.maxChannelUtilization;
-    auto report = pipeline.analyze(result.log, meshOf(opts), path,
-                                   core::Strategy::Static, net);
-    if (injector) {
-        fillResilience(report.resilience, *injector,
-                       result.retransmits, result.deliveryFailures,
-                       t.skippedRecords());
-    } else if (t.skippedRecords() > 0) {
-        report.resilience.enabled = true;
-        report.resilience.planDescription = "none (lenient ingest)";
-        report.resilience.traceRecordsSkipped = t.skippedRecords();
-    }
-    // A replay has no application threads, so the tracker only holds
-    // in-network comm spans — still useful as a per-rank traffic
-    // timeline, with no blocked intervals or skew.
-    if (auto *tracker = obsSession.activity()) {
-        tracker->finish(result.makespan);
-        report.rankActivity =
-            core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                 report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
-    }
-    if (auto *tracker = obsSession.linkStats()) {
-        tracker->finish(result.makespan);
-        core::LinkWeatherConfig lwcfg;
-        lwcfg.topLinks = opts.topLinks;
-        report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-            *tracker, meshOf(opts), report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-    report.print(std::cout);
-    return obsSession.finish() ? 0 : 1;
+    return writeOutputs(report, obsSession, opts, opts.out, log);
 }
+
+/**
+ * Command line of a subcommand that parses its own flags (synth,
+ * sweep, chaos). Usage errors throw CCharError(UsageError) prefixed
+ * with the subcommand name.
+ */
+struct SubcommandArgs
+{
+    int argc;
+    char **argv;
+    std::string cmd;
+
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        throw core::CCharError(core::StatusCode::UsageError,
+                               cmd + ": " + what);
+    }
+
+    /** The value of the flag at argv[i]; advances i past it. */
+    std::string
+    value(int &i) const
+    {
+        if (i + 1 >= argc)
+            fail(std::string{argv[i]} + " needs a value");
+        return argv[++i];
+    }
+
+    /** True for the worker-count flag: -j N, --jobs N or -jN. */
+    static bool
+    isWorkers(const std::string &arg)
+    {
+        return arg == "-j" || arg == "--jobs" || arg.rfind("-j", 0) == 0;
+    }
+
+    /** The worker count of the isWorkers() flag at argv[i]. */
+    int
+    workers(int &i) const
+    {
+        std::string arg = argv[i];
+        // Accept both "-j 8" and the make-style joined "-j8".
+        int jobs = std::atoi(
+            (arg == "-j" || arg == "--jobs" ? value(i) : arg.substr(2))
+                .c_str());
+        if (jobs < 1)
+            fail("-j needs a positive worker count");
+        return jobs;
+    }
+};
 
 /**
  * `cchar synth` — model-driven traffic replay at arbitrary scale.
@@ -873,65 +681,41 @@ cmdReplay(const std::string &path, const Options &opts)
 int
 cmdSynth(int argc, char **argv)
 {
-    if (argc < 3 || argv[2][0] == '-') {
-        throw core::CCharError(core::StatusCode::UsageError,
-                               "synth: needs a model JSON path");
-    }
+    SubcommandArgs args{argc, argv, "synth"};
+    if (argc < 3 || argv[2][0] == '-')
+        args.fail("needs a model JSON path");
     std::string modelPath = argv[2];
     Options opts;
     core::SynthRunOptions ropts;
     int scaleProcs = 0;
     std::uint64_t messages = 0;
 
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "synth: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
-
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--scale-procs") {
-            scaleProcs = std::atoi(value(i, arg).c_str());
-            if (scaleProcs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --scale-procs must be "
-                                       ">= 1");
-            }
+            scaleProcs = std::atoi(args.value(i).c_str());
+            if (scaleProcs < 1)
+                args.fail("--scale-procs must be >= 1");
         } else if (arg == "--messages") {
-            std::string v = value(i, arg);
+            std::string v = args.value(i);
             char *end = nullptr;
             messages = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0') {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: bad --messages value '" +
-                                           v + "'");
-            }
+            if (end == v.c_str() || *end != '\0')
+                args.fail("bad --messages value '" + v + "'");
         } else if (arg == "--seed") {
-            std::string v = value(i, arg);
+            std::string v = args.value(i);
             char *end = nullptr;
             ropts.seed = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0') {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: bad --seed value '" + v +
-                                           "'");
-            }
+            if (end == v.c_str() || *end != '\0')
+                args.fail("bad --seed value '" + v + "'");
         } else if (arg == "--time-scale") {
-            ropts.timeScale = std::atof(value(i, arg).c_str());
-            if (ropts.timeScale <= 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --time-scale must be "
-                                       "> 0");
-            }
+            ropts.timeScale = std::atof(args.value(i).c_str());
+            if (ropts.timeScale <= 0.0)
+                args.fail("--time-scale must be > 0");
         } else if (arg == "--max-outstanding") {
-            ropts.maxOutstanding = std::atoi(value(i, arg).c_str());
-            if (ropts.maxOutstanding < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --max-outstanding "
-                                       "cannot be negative");
-            }
+            ropts.maxOutstanding = std::atoi(args.value(i).c_str());
+            if (ropts.maxOutstanding < 0)
+                args.fail("--max-outstanding cannot be negative");
         } else if (arg == "--use-phases") {
             ropts.usePhases = true;
         } else if (arg == "--phases") {
@@ -939,28 +723,21 @@ cmdSynth(int argc, char **argv)
         } else if (arg == "--json") {
             opts.json = true;
         } else if (arg == "--out") {
-            opts.out = value(i, arg);
+            opts.out = args.value(i);
         } else if (arg == "--report-out") {
-            opts.reportOut = value(i, arg);
+            opts.reportOut = args.value(i);
         } else if (arg == "--metrics-out") {
-            opts.metricsOut = value(i, arg);
+            opts.metricsOut = args.value(i);
         } else if (arg == "--rank-activity") {
             opts.rankActivity = true;
         } else if (arg == "--link-stats") {
             opts.linkStats = true;
         } else if (arg == "--top-links") {
-            opts.topLinks = std::atoi(value(i, arg).c_str());
-            if (opts.topLinks < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --top-links must be "
-                                       ">= 1");
-            }
-        } else if (arg == "--progress") {
-            opts.progress = true;
+            opts.topLinks = std::atoi(args.value(i).c_str());
+            if (opts.topLinks < 1)
+                args.fail("--top-links must be >= 1");
         } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "synth: unknown option '" + arg +
-                                       "'");
+            args.fail("unknown option '" + arg + "'");
         }
     }
 
@@ -978,21 +755,12 @@ cmdSynth(int argc, char **argv)
     core::DriveResult result =
         core::SyntheticTrafficGenerator::run(model, ropts);
 
-    core::PipelineOptions popts;
-    popts.detectPhases = opts.phases || !opts.reportOut.empty();
-    core::CharacterizationPipeline pipeline{popts};
-    core::NetworkSummary net;
-    net.latencyMean = result.latencyMean;
-    net.latencyMax = result.latencyMax;
-    net.contentionMean = result.contentionMean;
-    net.makespan = result.makespan;
-    net.avgChannelUtilization = result.avgChannelUtilization;
-    net.maxChannelUtilization = result.maxChannelUtilization;
     std::string label = model.application.empty()
                             ? modelPath
                             : model.application + " (synthetic)";
-    core::CharacterizationReport report = pipeline.analyze(
-        result.log, model.mesh, label, core::Strategy::Static, net);
+    core::CharacterizationPipeline pipeline{obsSession.pipelineOptions()};
+    core::CharacterizationReport report =
+        pipeline.characterizeDrive(result, model.mesh, label);
     report.verified = true; // a model replay has no app invariant
 
     report.synthFidelity = core::computeSynthFidelity(model, result.log);
@@ -1005,57 +773,13 @@ cmdSynth(int argc, char **argv)
                       : 1.0;
     report.synthFidelity.seed = ropts.seed;
 
-    if (auto *tracker = obsSession.activity()) {
-        tracker->finish(result.makespan);
-        report.rankActivity = core::RankActivityAnalyzer{}.analyze(
-            *tracker, report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
-    }
-    if (auto *tracker = obsSession.linkStats()) {
-        tracker->finish(result.makespan);
-        core::LinkWeatherConfig lwcfg;
-        lwcfg.topLinks = opts.topLinks;
-        report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-            *tracker, model.mesh, report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-
-    if (!obsSession.finish())
-        return 1;
-
-    if (!opts.reportOut.empty()) {
-        core::HtmlReportInputs html;
-        html.report = &report;
-        html.registry = obsSession.registry();
-        html.sampler = obsSession.sampler();
-        html.flows = obsSession.flows();
-        core::AtomicFileWriter writer{opts.reportOut};
-        core::writeHtmlReport(writer.stream(), html);
-        writer.commit();
-        std::cerr << "wrote HTML report to " << opts.reportOut << "\n";
-    }
-
-    if (opts.out.empty()) {
-        if (opts.json)
-            report.writeJson(std::cout);
-        else
-            report.print(std::cout);
-    } else {
-        core::AtomicFileWriter writer{opts.out, "synth"};
-        if (opts.json)
-            report.writeJson(writer.stream());
-        else
-            report.print(writer.stream());
-        writer.commit();
-    }
+    int rc = writeOutputs(report, obsSession, opts, opts.out, result.log);
     std::cerr << "synth: " << result.log.size() << " messages from "
               << modelPath << " (KS temporal "
               << report.synthFidelity.temporalKs << ", spatial "
               << report.synthFidelity.spatialKs << ", volume "
               << report.synthFidelity.volumeKs << ")\n";
-    return 0;
+    return rc;
 }
 
 } // namespace
@@ -1117,24 +841,18 @@ class ScopedSweepSignals
 int
 cmdSweep(int argc, char **argv)
 {
+    SubcommandArgs args{argc, argv, "sweep"};
     sweep::SweepSpec spec;
     int jobs = 1;
     bool progress = false;
     std::string outPath, csvPath;
     sweep::SweepRunOptions ropts;
 
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "sweep: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
 
     // Pass 1: the spec file seeds the matrix...
     for (int i = 2; i < argc; ++i) {
         if (std::string{argv[i]} == "--spec")
-            spec = sweep::SweepSpec::fromJsonFile(value(i, "--spec"));
+            spec = sweep::SweepSpec::fromJsonFile(args.value(i));
     }
     // ...pass 2: CLI flags override individual dimensions.
     bool sawFaultPlan = false;
@@ -1143,43 +861,39 @@ cmdSweep(int argc, char **argv)
         if (arg == "--spec") {
             ++i; // consumed in pass 1
         } else if (arg == "--apps") {
-            spec.apps = sweep::parseList(value(i, arg));
+            spec.apps = sweep::parseList(args.value(i));
         } else if (arg == "--procs") {
             spec.procs.clear();
             for (const std::string &item :
-                 sweep::parseList(value(i, arg))) {
+                 sweep::parseList(args.value(i))) {
                 try {
                     spec.procs.push_back(std::stoi(item));
                 } catch (const std::exception &) {
-                    throw core::CCharError(core::StatusCode::UsageError,
-                                           "sweep: bad procs value '" +
-                                               item + "'");
+                    args.fail("bad procs value '" + item + "'");
                 }
             }
         } else if (arg == "--loads") {
             spec.loads.clear();
             for (const std::string &item :
-                 sweep::parseList(value(i, arg))) {
+                 sweep::parseList(args.value(i))) {
                 try {
                     spec.loads.push_back(std::stod(item));
                 } catch (const std::exception &) {
-                    throw core::CCharError(core::StatusCode::UsageError,
-                                           "sweep: bad load value '" +
-                                               item + "'");
+                    args.fail("bad load value '" + item + "'");
                 }
             }
         } else if (arg == "--seeds") {
-            spec.seeds = sweep::parseSeeds(value(i, arg));
+            spec.seeds = sweep::parseSeeds(args.value(i));
         } else if (arg == "--fault-plan") {
             if (!sawFaultPlan) {
                 spec.faultPlans.clear();
                 sawFaultPlan = true;
             }
-            spec.faultPlans.push_back(value(i, arg));
+            spec.faultPlans.push_back(args.value(i));
         } else if (arg == "--torus") {
             spec.torus = true;
         } else if (arg == "--vcs") {
-            spec.vcs = std::atoi(value(i, arg).c_str());
+            spec.vcs = std::atoi(args.value(i).c_str());
         } else if (arg == "--rank-activity") {
             spec.rankActivity = true;
         } else if (arg == "--link-stats") {
@@ -1188,52 +902,32 @@ cmdSweep(int argc, char **argv)
             spec.synthetic = true;
         } else if (arg == "--progress") {
             progress = true;
-        } else if (arg == "-j" || arg == "--jobs" ||
-                   arg.rfind("-j", 0) == 0) {
-            // Accept both "-j 8" and the make-style joined "-j8".
-            std::string count = (arg == "-j" || arg == "--jobs")
-                                    ? value(i, arg)
-                                    : arg.substr(2);
-            jobs = std::atoi(count.c_str());
-            if (jobs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: -j needs a positive "
-                                       "worker count");
-            }
+        } else if (SubcommandArgs::isWorkers(arg)) {
+            jobs = args.workers(i);
         } else if (arg == "--out") {
-            outPath = value(i, arg);
+            outPath = args.value(i);
         } else if (arg == "--csv") {
-            csvPath = value(i, arg);
+            csvPath = args.value(i);
         } else if (arg == "--journal") {
-            ropts.journalPath = value(i, arg);
+            ropts.journalPath = args.value(i);
         } else if (arg == "--resume") {
-            ropts.resumePath = value(i, arg);
+            ropts.resumePath = args.value(i);
         } else if (arg == "--job-timeout") {
             ropts.policy.jobTimeoutSec =
-                std::atof(value(i, arg).c_str());
-            if (ropts.policy.jobTimeoutSec <= 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --job-timeout needs a "
-                                       "positive number of seconds");
-            }
+                std::atof(args.value(i).c_str());
+            if (ropts.policy.jobTimeoutSec <= 0.0)
+                args.fail("--job-timeout needs a positive number of "
+                          "seconds");
         } else if (arg == "--job-retries") {
-            ropts.policy.maxRetries = std::atoi(value(i, arg).c_str());
-            if (ropts.policy.maxRetries < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --job-retries cannot "
-                                       "be negative");
-            }
+            ropts.policy.maxRetries = std::atoi(args.value(i).c_str());
+            if (ropts.policy.maxRetries < 0)
+                args.fail("--job-retries cannot be negative");
         } else if (arg == "--retry-backoff-ms") {
-            ropts.policy.backoffMs = std::atof(value(i, arg).c_str());
-            if (ropts.policy.backoffMs < 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --retry-backoff-ms "
-                                       "cannot be negative");
-            }
+            ropts.policy.backoffMs = std::atof(args.value(i).c_str());
+            if (ropts.policy.backoffMs < 0.0)
+                args.fail("--retry-backoff-ms cannot be negative");
         } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "sweep: unknown option '" + arg +
-                                       "'");
+            args.fail("unknown option '" + arg + "'");
         }
     }
 
@@ -1328,75 +1022,51 @@ cmdSweep(int argc, char **argv)
 int
 cmdChaos(int argc, char **argv)
 {
+    SubcommandArgs args{argc, argv, "chaos"};
     sweep::ChaosOptions copts;
     int jobs = 1;
     bool progress = false;
     bool json = false;
     std::string outPath;
 
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "chaos: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
 
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--apps") {
-            copts.apps = sweep::parseList(value(i, arg));
+            copts.apps = sweep::parseList(args.value(i));
         } else if (arg == "--procs") {
-            copts.procs = std::atoi(value(i, arg).c_str());
-            if (copts.procs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --procs must be >= 1");
-            }
+            copts.procs = std::atoi(args.value(i).c_str());
+            if (copts.procs < 1)
+                args.fail("--procs must be >= 1");
         } else if (arg == "--plans") {
-            copts.plans = std::atoi(value(i, arg).c_str());
+            copts.plans = std::atoi(args.value(i).c_str());
         } else if (arg == "--seed") {
             copts.seed =
-                std::strtoull(value(i, arg).c_str(), nullptr, 10);
+                std::strtoull(args.value(i).c_str(), nullptr, 10);
         } else if (arg == "--max-faults") {
-            copts.maxFaults = std::atoi(value(i, arg).c_str());
+            copts.maxFaults = std::atoi(args.value(i).c_str());
         } else if (arg == "--horizon") {
-            copts.horizonUs = std::atof(value(i, arg).c_str());
-            if (copts.horizonUs < 2.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --horizon must be >= 2");
-            }
+            copts.horizonUs = std::atof(args.value(i).c_str());
+            if (copts.horizonUs < 2.0)
+                args.fail("--horizon must be >= 2");
         } else if (arg == "--shrink-budget") {
-            copts.shrinkBudget = std::atoi(value(i, arg).c_str());
-            if (copts.shrinkBudget < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --shrink-budget cannot "
-                                       "be negative");
-            }
+            copts.shrinkBudget = std::atoi(args.value(i).c_str());
+            if (copts.shrinkBudget < 0)
+                args.fail("--shrink-budget cannot be negative");
         } else if (arg == "--torus") {
             copts.torus = true;
         } else if (arg == "--vcs") {
-            copts.vcs = std::atoi(value(i, arg).c_str());
+            copts.vcs = std::atoi(args.value(i).c_str());
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--out") {
-            outPath = value(i, arg);
+            outPath = args.value(i);
         } else if (arg == "--progress") {
             progress = true;
-        } else if (arg == "-j" || arg == "--jobs" ||
-                   arg.rfind("-j", 0) == 0) {
-            std::string count = (arg == "-j" || arg == "--jobs")
-                                    ? value(i, arg)
-                                    : arg.substr(2);
-            jobs = std::atoi(count.c_str());
-            if (jobs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: -j needs a positive "
-                                       "worker count");
-            }
+        } else if (SubcommandArgs::isWorkers(arg)) {
+            jobs = args.workers(i);
         } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "chaos: unknown option '" + arg +
-                                       "'");
+            args.fail("unknown option '" + arg + "'");
         }
     }
 
@@ -1438,27 +1108,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (cmd == "sweep" || cmd == "chaos" || cmd == "synth") {
-        try {
-            return cmd == "sweep"   ? cmdSweep(argc, argv)
-                   : cmd == "chaos" ? cmdChaos(argc, argv)
-                                    : cmdSynth(argc, argv);
-        } catch (const core::CCharError &err) {
-            std::cerr << "error: " << err.what() << "\n";
-            return core::exitCodeOf(err.status().code());
-        } catch (const std::exception &err) {
-            std::cerr << "error: " << err.what() << "\n";
-            return core::exitCodeOf(core::StatusCode::SimError);
-        }
-    }
-
-    if (argc < 3)
-        return usage();
-    std::string target = argv[2];
-    Options opts;
-    if (!parseOptions(argc, argv, 3, opts))
-        return usage();
-
     // Recoverable problems (lenient trace ingest, delivery failures)
     // land here instead of aborting; dumped to stderr on exit.
     core::DiagnosticSink sink;
@@ -1467,34 +1116,45 @@ main(int argc, char **argv)
         if (!sink.empty())
             sink.writeText(std::cerr);
     };
+    auto fail = [&](const char *what, core::StatusCode code) {
+        flushDiagnostics();
+        std::cerr << "error: " << what << "\n";
+        return core::exitCodeOf(code);
+    };
 
     try {
         int rc = 2;
-        if (cmd == "characterize") {
-            rc = cmdCharacterize(target, opts);
-        } else if (cmd == "report") {
-            opts.reportMode = true;
-            rc = cmdCharacterize(target, opts);
-        } else if (cmd == "trace") {
-            rc = cmdTrace(target, opts);
-        } else if (cmd == "replay") {
-            rc = cmdReplay(target, opts);
+        if (cmd == "sweep") {
+            rc = cmdSweep(argc, argv);
+        } else if (cmd == "chaos") {
+            rc = cmdChaos(argc, argv);
+        } else if (cmd == "synth") {
+            rc = cmdSynth(argc, argv);
         } else {
-            return usage();
+            Options opts;
+            if (argc < 3 || !parseOptions(argc, argv, 3, opts))
+                return usage();
+            std::string target = argv[2];
+            if (cmd == "characterize") {
+                rc = cmdCharacterize(target, opts);
+            } else if (cmd == "report") {
+                opts.reportMode = true;
+                rc = cmdCharacterize(target, opts);
+            } else if (cmd == "trace") {
+                rc = cmdTrace(target, opts);
+            } else if (cmd == "replay") {
+                rc = cmdReplay(target, opts);
+            } else {
+                return usage();
+            }
         }
         flushDiagnostics();
         return rc;
     } catch (const desim::WatchdogError &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(core::StatusCode::WatchdogTrip);
+        return fail(err.what(), core::StatusCode::WatchdogTrip);
     } catch (const core::CCharError &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(err.status().code());
+        return fail(err.what(), err.status().code());
     } catch (const std::exception &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(core::StatusCode::SimError);
+        return fail(err.what(), core::StatusCode::SimError);
     }
 }
