@@ -19,7 +19,6 @@
 
 #include <iomanip>
 #include <iostream>
-#include <memory>
 
 #include "common.hh"
 
@@ -80,13 +79,7 @@ main()
         // Execution-driven run (with feedback).
         desim::Simulator sim;
         ccnuma::Machine machine{sim, standardMachine()};
-        std::unique_ptr<apps::SharedMemoryApp> app;
-        if (name == "1d-fft")
-            app = std::make_unique<apps::Fft1D>();
-        else if (name == "is")
-            app = std::make_unique<apps::IntegerSort>();
-        else
-            app = std::make_unique<apps::Nbody>();
+        auto app = apps::makeSharedMemoryApp(name);
         apps::launch(machine, *app);
         machine.run();
         double execLat = machine.network().latencyStats().mean();

@@ -57,15 +57,9 @@ main()
                                     std::string{"is"}}) {
         desim::Simulator sim;
         ccnuma::Machine machine{sim, standardMachine()};
-        if (name == "1d-fft") {
-            apps::Fft1D app;
-            apps::launch(machine, app);
-            machine.run();
-        } else {
-            apps::IntegerSort app;
-            apps::launch(machine, app);
-            machine.run();
-        }
+        auto app = apps::makeSharedMemoryApp(name);
+        apps::launch(machine, *app);
+        machine.run();
         auto gaps = machine.log().interArrivalTimes();
         stats::Ecdf ecdf{gaps};
         stats::DistributionFitter fitter;

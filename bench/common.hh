@@ -12,17 +12,11 @@
 #ifndef CCHAR_BENCH_COMMON_HH
 #define CCHAR_BENCH_COMMON_HH
 
-#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "apps/cholesky.hh"
-#include "apps/fft1d.hh"
-#include "apps/fft3d.hh"
-#include "apps/is.hh"
-#include "apps/maxflow.hh"
-#include "apps/mg.hh"
-#include "apps/nbody.hh"
+#include "apps/registry.hh"
 #include "core/core.hh"
 #include "self_report.hh"
 
@@ -50,46 +44,21 @@ standardWorld()
 inline core::CharacterizationReport
 sharedMemoryReport(const std::string &name)
 {
-    core::CharacterizationPipeline pipeline;
-    auto machine = standardMachine();
-    if (name == "1d-fft") {
-        apps::Fft1D app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "is") {
-        apps::IntegerSort app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "cholesky") {
-        apps::SparseCholesky app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "maxflow") {
-        apps::Maxflow app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "nbody") {
-        apps::Nbody app;
-        return pipeline.runDynamic(app, machine);
-    }
-    throw std::invalid_argument("unknown shared-memory app: " + name);
+    auto app = apps::makeSharedMemoryApp(name);
+    if (!app)
+        throw std::invalid_argument("unknown shared-memory app: " + name);
+    return core::CharacterizationPipeline{}.runDynamic(*app,
+                                                       standardMachine());
 }
 
 /** Characterize one message-passing app by name (static strategy). */
 inline core::CharacterizationReport
 messagePassingReport(const std::string &name)
 {
-    core::CharacterizationPipeline pipeline;
-    auto world = standardWorld();
-    if (name == "3d-fft") {
-        apps::Fft3D app;
-        return pipeline.runStatic(app, world);
-    }
-    if (name == "mg") {
-        apps::Multigrid app;
-        return pipeline.runStatic(app, world);
-    }
-    throw std::invalid_argument("unknown message-passing app: " + name);
+    auto app = apps::makeMessagePassingApp(name);
+    if (!app)
+        throw std::invalid_argument("unknown message-passing app: " + name);
+    return core::CharacterizationPipeline{}.runStatic(*app, standardWorld());
 }
 
 inline const std::vector<std::string> &

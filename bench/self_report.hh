@@ -10,11 +10,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "obs/obs.hh"
 
@@ -23,9 +21,9 @@ namespace cchar::bench {
 /**
  * Installs a process-wide metrics registry for its lifetime so every
  * simulation the bench runs is counted; on destruction prints
- * simulator throughput (events/sec, messages/sec) to stderr and drops
- * a machine-readable BENCH_<name>.json record in the working
- * directory.
+ * simulator throughput (events/sec, messages/sec) to stderr. The
+ * event and message counts are deterministic: the bench count tests
+ * in bench/CMakeLists.txt pin them.
  */
 class SelfReport
 {
@@ -37,23 +35,6 @@ class SelfReport
 
     SelfReport(const SelfReport &) = delete;
     SelfReport &operator=(const SelfReport &) = delete;
-
-    /**
-     * Attach a bench-specific numeric field to the JSON record
-     * (appended in insertion order after the standard fields).
-     */
-    void
-    extra(std::string key, double value)
-    {
-        extras_.emplace_back(std::move(key), Value{value, false, false});
-    }
-
-    /** Attach a bench-specific boolean field to the JSON record. */
-    void
-    extraFlag(std::string key, bool value)
-    {
-        extras_.emplace_back(std::move(key), Value{0.0, value, true});
-    }
 
     ~SelfReport()
     {
@@ -69,29 +50,9 @@ class SelfReport
         std::cerr << "[bench] " << name_ << ": " << wall << "s wall, "
                   << events << " events (" << eps << "/s), " << msgs
                   << " mesh messages (" << mps << "/s)\n";
-        std::ofstream f{"BENCH_" + name_ + ".json"};
-        f << "{\"bench\":\"" << name_ << "\",\"wall_s\":" << wall
-          << ",\"events\":" << events << ",\"events_per_sec\":" << eps
-          << ",\"messages\":" << msgs << ",\"messages_per_sec\":" << mps;
-        for (const auto &[key, v] : extras_) {
-            f << ",\"" << key << "\":";
-            if (v.isBool)
-                f << (v.flag ? "true" : "false");
-            else
-                f << v.num;
-        }
-        f << "}\n";
     }
 
   private:
-    struct Value
-    {
-        double num;
-        bool flag;
-        bool isBool;
-    };
-
-    std::vector<std::pair<std::string, Value>> extras_;
     std::string name_;
     obs::MetricsRegistry registry_;
     obs::ScopedObservability scope_;

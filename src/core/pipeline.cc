@@ -244,6 +244,8 @@ CharacterizationPipeline::runDynamic(apps::SharedMemoryApp &app,
         attachProgress(sim, *opts_.progress, opts_.samplePeriodUs * 10.0);
     apps::launch(machine, app);
     machine.run();
+    if (opts_.sampler && opts_.samplePeriodUs > 0.0)
+        opts_.sampler->flush(sim.now());
 
     obs::RankActivityTracker *activity = obs::rankActivity();
     if (activity)

@@ -131,6 +131,8 @@ TraceReplayer::replay(const trace::Trace &trace,
         }
     }
     sim.run();
+    if (opts.sampler && opts.samplePeriodUs > 0.0)
+        opts.sampler->flush(sim.now());
 
     result.makespan = result.log.lastDeliverTime();
     result.latencyMean = net.latencyStats().mean();

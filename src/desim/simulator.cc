@@ -163,13 +163,21 @@ void
 Simulator::run()
 {
     auto wallStart = std::chrono::steady_clock::now();
-    while (!calendar_.empty()) {
+    // Stop at the last non-periodic event: a leftover tick would move
+    // now() up to one period past the end of the run.
+    while (calendar_.size() > periodicPending_) {
         if (processed_ >= maxEvents_)
             throw std::runtime_error(
                 "desim: event cap exceeded (runaway simulation?)");
         CalendarEvent ev = calendar_.popMin();
         dispatch(ev);
     }
+    while (!calendar_.empty()) {
+        CalendarEvent tick = calendar_.popMin();
+        fnSlots_[tick.fnSlot - 1] = nullptr;
+        fnFree_.push_back(tick.fnSlot);
+    }
+    periodicPending_ = 0;
     wallSeconds_ +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wallStart)

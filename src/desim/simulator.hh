@@ -167,7 +167,8 @@ class Simulator
      * Run `fn(now)` every `period` time units, starting one period from
      * now, for as long as the calendar holds any other work. Periodic
      * ticks do not keep the simulation alive: once only periodic ticks
-     * remain, the chain stops and run() drains. Telemetry samplers and
+     * remain, run() drops them and returns with now() at the last
+     * other event. Telemetry samplers and
      * progress reporting hang off this.
      */
     void attachPeriodic(std::function<void(SimTime)> fn, SimTime period);

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "json.hh"
+
 namespace cchar::obs {
 
 std::size_t
@@ -27,6 +29,13 @@ WindowedSampler::sample(double t)
         s.values.push_back(s.probe());
 }
 
+void
+WindowedSampler::flush(double t)
+{
+    if (t > (times_.empty() ? 0.0 : times_.back()))
+        sample(t);
+}
+
 const std::string &
 WindowedSampler::seriesName(std::size_t i) const
 {
@@ -40,18 +49,6 @@ WindowedSampler::seriesValues(std::size_t i) const
 }
 
 namespace {
-
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
 
 void
 jsonArray(std::ostream &os, const std::vector<double> &xs)
@@ -76,7 +73,7 @@ WindowedSampler::writeJson(std::ostream &os) const
     for (std::size_t i = 0; i < series_.size(); ++i) {
         if (i)
             os << ",";
-        jsonString(os, series_[i].name);
+        writeJsonString(os, series_[i].name);
         os << ":";
         jsonArray(os, series_[i].values);
     }

@@ -44,6 +44,13 @@ class WindowedSampler
     /** Evaluate every probe at simulated time t and append a column. */
     void sample(double t);
 
+    /**
+     * Sample the last, partial window of a run that ended at t: a
+     * periodic driver stops at the run's last event, so a run that
+     * ends between two periods has one window it never sampled.
+     */
+    void flush(double t);
+
     std::size_t seriesCount() const { return series_.size(); }
     std::size_t sampleCount() const { return times_.size(); }
 

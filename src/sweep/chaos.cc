@@ -5,9 +5,9 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/jsonscan.hh"
 #include "core/status.hh"
 #include "engine.hh"
+#include "obs/json.hh"
 #include "obs/registry.hh"
 #include "spec.hh"
 #include "stats/rng.hh"
@@ -343,20 +343,20 @@ ChaosResult::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"index\":" << j.index << ",\"app\":";
-        core::writeJsonString(os, j.app);
+        obs::writeJsonString(os, j.app);
         os << ",\"plan\":";
-        core::writeJsonString(os, j.plan);
+        obs::writeJsonString(os, j.plan);
         os << ",\"classification\":";
-        core::writeJsonString(os, j.classification);
+        obs::writeJsonString(os, j.classification);
         os << ",\"status\":";
-        core::writeJsonString(os, j.status);
+        obs::writeJsonString(os, j.status);
         os << ",\"delivery_failures\":" << j.deliveryFailures
            << ",\"retransmits\":" << j.retransmits
            << ",\"rerouted_packets\":" << j.reroutedPackets
            << ",\"link_drops\":" << j.linkDrops;
         if (j.failing()) {
             os << ",\"shrunk_plan\":";
-            core::writeJsonString(os, j.shrunkPlan);
+            obs::writeJsonString(os, j.shrunkPlan);
             os << ",\"shrunk_faults\":" << j.shrunkFaults
                << ",\"shrink_runs\":" << j.shrinkRuns;
         }

@@ -12,11 +12,11 @@
 #include <type_traits>
 
 #include "core/pipeline.hh"
-#include "core/jsonscan.hh"
 #include "core/status.hh"
 #include "desim/watchdog.hh"
 #include "fault/plan.hh"
 #include "journal.hh"
+#include "obs/json.hh"
 #include "obs/obs.hh"
 #include "policy.hh"
 #include "stats/spatial.hh"
@@ -167,7 +167,7 @@ columnValue(std::ostream &os, const T &v, bool csv)
     else if constexpr (std::is_same_v<T, double>)
         jsonNumber(os, v);
     else if constexpr (std::is_same_v<T, std::string>)
-        csv ? csvField(os, v) : core::writeJsonString(os, v);
+        csv ? csvField(os, v) : obs::writeJsonString(os, v);
     else
         os << v;
 }
@@ -732,18 +732,18 @@ SweepResult::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"index\":" << o.job.index << ",\"app\":";
-        core::writeJsonString(os, o.job.app);
+        obs::writeJsonString(os, o.job.app);
         os << ",\"procs\":" << o.job.procs << ",\"width\":" << o.job.width
            << ",\"height\":" << o.job.height
            << ",\"torus\":" << (o.job.torus ? "true" : "false")
            << ",\"vcs\":" << o.job.vcs << ",\"load\":";
         jsonNumber(os, o.job.load);
         os << ",\"seed\":" << o.job.seed << ",\"fault_plan\":";
-        core::writeJsonString(os, o.job.faultPlan);
+        obs::writeJsonString(os, o.job.faultPlan);
         os << ",\"status\":";
-        core::writeJsonString(os, o.status);
+        obs::writeJsonString(os, o.status);
         os << ",\"error\":";
-        core::writeJsonString(os, o.error);
+        obs::writeJsonString(os, o.error);
         for (const OutcomeColumn &c : outcomeColumns()) {
             os << ",\"" << c.name << "\":";
             std::visit([&](auto m) { columnValue(os, o.*m, false); },
@@ -765,13 +765,13 @@ SweepResult::writeJson(std::ostream &os) const
                 os << ",";
             firstDegraded = false;
             os << "{\"index\":" << o.job.index << ",\"app\":";
-            core::writeJsonString(os, o.job.app);
+            obs::writeJsonString(os, o.job.app);
             os << ",\"label\":";
-            core::writeJsonString(os, o.job.label());
+            obs::writeJsonString(os, o.job.label());
             os << ",\"status\":";
-            core::writeJsonString(os, o.status);
+            obs::writeJsonString(os, o.status);
             os << ",\"attempts\":" << o.attempts << ",\"error\":";
-            core::writeJsonString(os, o.error);
+            obs::writeJsonString(os, o.error);
             os << "}";
         }
         os << "]";

@@ -13,6 +13,7 @@
 
 #include "core/jsonscan.hh"
 #include "core/status.hh"
+#include "obs/json.hh"
 
 namespace cchar::sweep {
 
@@ -146,7 +147,7 @@ writeValue(std::ostream &os, const T &v)
     else if constexpr (std::is_same_v<T, double>)
         hexDouble(os, v);
     else if constexpr (std::is_same_v<T, std::string>)
-        core::writeJsonString(os, v);
+        obs::writeJsonString(os, v);
     else
         os << v;
 }
@@ -332,9 +333,9 @@ formatJournalRecord(const JournalRecord &record)
        << "\",\"index\":" << o.job.index
        << ",\"attempts\":" << o.attempts << ",\"quarantined\":"
        << (o.quarantined ? "true" : "false") << ",\"status\":";
-    core::writeJsonString(os, o.status);
+    obs::writeJsonString(os, o.status);
     os << ",\"error\":";
-    core::writeJsonString(os, o.error);
+    obs::writeJsonString(os, o.error);
     for (const OutcomeColumn &c : outcomeColumns()) {
         os << ",\"" << c.name << "\":";
         std::visit([&](auto m) { writeValue(os, o.*m); }, c.member);
@@ -345,7 +346,7 @@ formatJournalRecord(const JournalRecord &record)
         if (!first)
             os << ",";
         first = false;
-        core::writeJsonString(os, name);
+        obs::writeJsonString(os, name);
         os << ":" << value;
     }
     os << "},\"gauges\":{";
@@ -354,7 +355,7 @@ formatJournalRecord(const JournalRecord &record)
         if (!first)
             os << ",";
         first = false;
-        core::writeJsonString(os, name);
+        obs::writeJsonString(os, name);
         os << ":";
         hexDouble(os, value);
     }
@@ -364,7 +365,7 @@ formatJournalRecord(const JournalRecord &record)
         if (!first)
             os << ",";
         first = false;
-        core::writeJsonString(os, name);
+        obs::writeJsonString(os, name);
         os << ":{\"count\":" << data.count << ",\"sum\":";
         hexDouble(os, data.sum);
         os << ",\"min\":";

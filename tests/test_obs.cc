@@ -514,9 +514,26 @@ TEST(SimulatorObs, TwoPeriodicChainsDoNotKeepEachOtherAlive)
     sim.attachPeriodic([&ticksB](desim::SimTime) { ++ticksB; }, 13.0);
     sim.spawn(idleFor(sim, 50.0, 5.0), "idler");
     sim.run();
-    EXPECT_LE(sim.now(), 50.0 + 13.0);
-    EXPECT_GE(ticksA, 6);
-    EXPECT_GE(ticksB, 3);
+    // The leftover ticks are dropped: the run ends at its last event.
+    EXPECT_DOUBLE_EQ(sim.now(), 50.0);
+    EXPECT_EQ(sim.calendarSize(), 0u);
+    EXPECT_EQ(ticksA, 7);
+    EXPECT_EQ(ticksB, 3);
+}
+
+TEST(SimulatorObs, FlushSamplesTheLastPartialWindow)
+{
+    obs::WindowedSampler sampler;
+    desim::Simulator sim;
+    sampler.addSeries("now", [&sim] { return sim.now(); });
+    sim.attachPeriodic(
+        [&sampler](desim::SimTime t) { sampler.sample(t); }, 10.0);
+    sim.spawn(idleFor(sim, 45.0, 5.0), "idler");
+    sim.run();
+    sampler.flush(sim.now());
+    sampler.flush(sim.now()); // a second flush at the same time is a no-op
+    EXPECT_EQ(sampler.times(),
+              (std::vector<double>{10.0, 20.0, 30.0, 40.0, 45.0}));
 }
 
 // --------------------------------------------------------------------

@@ -26,8 +26,9 @@
  *   --phases                         detect execution phases and
  *                                    characterize each one
  *   --json                           print the report as JSON
- *   --out FILE                       write the report (replay, synth)
- *                                    or the HTML (report) to FILE
+ *   --out FILE                       write the report (characterize,
+ *                                    replay, synth) or the HTML
+ *                                    (report) to FILE
  *
  * Observability options:
  *   --trace-out FILE                 write a Chrome trace-event JSON
@@ -306,7 +307,7 @@ usage()
            "  cchar list\n"
            "  cchar characterize <app> [--width W] [--height H]\n"
            "                     [--torus] [--vcs N] [--windows N]\n"
-           "                     [--phases] [--json]\n"
+           "                     [--phases] [--json] [--out FILE]\n"
            "                     [--trace-out FILE] [--metrics-out FILE]\n"
            "                     [--report-out FILE] [--rank-activity]\n"
            "                     [--link-stats] [--top-links N]\n"
@@ -547,10 +548,7 @@ cmdCharacterize(const std::string &name, const Options &opts)
     trace::TrafficLog log;
     core::CharacterizationReport report = pipeline.run(
         name, meshOf(opts), opts.windows > 0 ? &log : nullptr);
-    // characterize prints its report on stdout; --out only names the
-    // HTML file of `report`.
-    return writeOutputs(report, obsSession, opts,
-                        opts.reportMode ? opts.out : std::string{}, log);
+    return writeOutputs(report, obsSession, opts, opts.out, log);
 }
 
 int
